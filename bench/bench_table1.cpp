@@ -84,7 +84,8 @@ int main() {
     if (perm.has_value()) {
       std::string mapping = "  relabeling (ours -> paper, 1-based):";
       for (std::size_t p = 0; p < perm->size(); ++p) {
-        mapping += " " + std::to_string(p + 1) + "->" +
+        mapping += ' ';
+        mapping += std::to_string(p + 1) + "->" +
                    std::to_string((*perm)[p] + 1);
       }
       std::cout << mapping << "\n";

@@ -28,8 +28,8 @@
 #include "batch/batched_run.hpp"
 #include "batch/plan.hpp"
 #include "core/parallel_sttsv.hpp"
+#include "hier/make_exchanger.hpp"
 #include "obs/metrics.hpp"
-#include "onesided/make_exchanger.hpp"
 #include "onesided/onesided_exchange.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
@@ -73,7 +73,8 @@ steiner::SteinerSystem make_system(const Family& f) {
     case batch::Family::kSpherical:
       return steiner::spherical_system(f.param);
     case batch::Family::kBoolean:
-      return steiner::boolean_quadruple_system(f.param);
+      return steiner::boolean_quadruple_system(
+          static_cast<unsigned>(f.param));
     case batch::Family::kTrivial:
       return steiner::trivial_triple_system(f.param);
   }

@@ -9,7 +9,9 @@
 //
 // Only vector data moves; the tensor is never communicated (owner-compute).
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "partition/tetra_partition.hpp"
@@ -56,10 +58,20 @@ ParallelRunResult parallel_sttsv(
 /// the retry budget raises simt::FaultError (kFailFast) or is healed by
 /// owner-compute replay (kDegrade); phases are labeled "x-shares" and
 /// "y-partials" in any FaultReport.
+///
+/// `host_of_role` places the partition's P roles on ranks (DESIGN.md
+/// §15); empty means every role runs on its own rank. A rank hosting
+/// several roles runs their kernels back to back and exchanges one
+/// aggregated envelope per host pair and phase; role pairs on one rank
+/// are local copies and never touch the wire or the ledger. Partial y
+/// is reduced in sending-role order at every placement, so y is bitwise
+/// identical to the P-rank run whatever the placement. ternary_mults
+/// stay per role. Ranks that host no role send and receive nothing.
 ParallelRunResult parallel_sttsv(
     simt::Exchanger& exchanger, const partition::TetraPartition& part,
     const partition::VectorDistribution& dist, const tensor::SymTensor3& a,
     const std::vector<double>& x, simt::Transport transport,
-    simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered);
+    simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered,
+    std::span<const std::size_t> host_of_role = {});
 
 }  // namespace sttsv::core

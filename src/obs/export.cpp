@@ -1,9 +1,12 @@
 #include "obs/export.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "support/table.hpp"
 
@@ -114,12 +117,28 @@ std::string rank_summary(const std::vector<SpanRecord>& spans) {
   };
   // (rank, category) -> aggregate; map keeps ranks/categories ordered.
   std::map<std::size_t, std::map<Category, Cell>> by_rank;
-  std::map<std::size_t, std::uint64_t> busy_ns;  // top-level spans only
+  std::map<std::size_t, std::vector<std::pair<std::uint64_t, std::uint64_t>>>
+      intervals;
   for (const SpanRecord& s : spans) {
     Cell& cell = by_rank[s.rank][s.category];
     ++cell.count;
     cell.total_ns += s.end_ns - s.begin_ns;
-    if (s.depth == 0) busy_ns[s.rank] += s.end_ns - s.begin_ns;
+    intervals[s.rank].emplace_back(s.begin_ns, s.end_ns);
+  }
+  // Busy time is the union of the track's spans: nesting depth is per
+  // recording thread, so a rank run inline on the driver thread sits
+  // below the driver's spans and has no depth-0 span of its own.
+  std::map<std::size_t, std::uint64_t> busy_ns;
+  for (auto& [rank, iv] : intervals) {
+    std::sort(iv.begin(), iv.end());
+    std::uint64_t busy = 0;
+    std::uint64_t covered = 0;  // end of the union so far
+    for (const auto& [begin, end] : iv) {
+      const std::uint64_t from = std::max(begin, covered);
+      if (end > from) busy += end - from;
+      covered = std::max(covered, end);
+    }
+    busy_ns[rank] = busy;
   }
 
   TextTable table({"track", "category", "spans", "total ms", "busy ms"},

@@ -10,7 +10,8 @@
 //  * write_metrics_json — a MetricsRegistry as one JSON object via the
 //    shared repro::JsonWriter (counters / gauges / histograms).
 //  * rank_summary — human-readable per-rank critical-path breakdown
-//    (time per category from each rank's top-level spans) for benches.
+//    (time per category, and busy time as the union of each rank's
+//    spans) for benches.
 
 #include <iosfwd>
 #include <string>
@@ -35,9 +36,10 @@ void write_metrics_json(repro::JsonWriter& w, const MetricsRegistry& registry,
                         const char* key = "metrics");
 
 /// Renders a per-rank breakdown table: for every rank track, span count
-/// and total milliseconds per category, plus the rank's busy time (sum of
-/// its top-level spans) — the per-processor critical-path view the paper
-/// argues in. Returns "" when `spans` is empty.
+/// and total milliseconds per category, plus the rank's busy time (the
+/// union of its spans' intervals, whichever thread recorded them) — the
+/// per-processor critical-path view the paper argues in. Returns "" when
+/// `spans` is empty.
 [[nodiscard]] std::string rank_summary(const std::vector<SpanRecord>& spans);
 
 }  // namespace sttsv::obs

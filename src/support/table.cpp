@@ -50,7 +50,7 @@ std::string TextTable::render() const {
     for (std::size_t c = 0; c < cells.size(); ++c) {
       const auto pad = width[c] - cells[c].size();
       if (aligns_[c] == Align::kRight) {
-        s += " " + std::string(pad, ' ') + cells[c] + " |";
+        s += std::string(pad + 1, ' ') + cells[c] + " |";
       } else {
         s += " " + cells[c] + std::string(pad, ' ') + " |";
       }

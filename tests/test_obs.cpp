@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -23,6 +24,7 @@
 #include "partition/vector_distribution.hpp"
 #include "simt/fault_injector.hpp"
 #include "simt/machine.hpp"
+#include "simt/parallel_for.hpp"
 #include "simt/reliable_exchange.hpp"
 #include "steiner/constructions.hpp"
 #include "support/rng.hpp"
@@ -510,6 +512,35 @@ TEST(Exporters, RankSummaryListsEveryTrack) {
   EXPECT_NE(summary.find("rank 0"), std::string::npos);
   EXPECT_NE(summary.find("rank 2"), std::string::npos);
   EXPECT_NE(summary.find("superstep"), std::string::npos);
+}
+
+TEST(Exporters, RankSummaryCountsInlineRanksAsBusy) {
+  if (!kTracingCompiledIn) {
+    GTEST_SKIP() << "tracing compiled out (STTSV_ENABLE_TRACING=OFF)";
+  }
+  TracerGuard guard;
+  // One host thread: every rank program runs inline on the driver thread,
+  // nested under the driver's machine.run_ranks span.
+  simt::ConcurrencyGuard inline_ranks(1);
+  tracer().configure({.tracing = true});
+  simt::Machine machine(3);
+  machine.run_ranks([](std::size_t) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(2);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  });
+  const std::string summary = rank_summary(tracer().snapshot());
+  for (const std::string track : {"rank 0", "rank 1", "rank 2"}) {
+    // "| rank p | superstep | spans | total ms | busy ms |"
+    const std::size_t row = summary.find("| " + track + " ");
+    ASSERT_NE(row, std::string::npos) << summary;
+    const std::string line =
+        summary.substr(row, summary.find('\n', row) - row);
+    const std::size_t last = line.rfind('|', line.size() - 2);
+    const double busy_ms = std::stod(line.substr(last + 1));
+    EXPECT_GE(busy_ms, 1.5) << track << "\n" << summary;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "core/parallel_sttsv.hpp"
 #include "elastic/assignment.hpp"
 #include "elastic/recovery.hpp"
+#include "hier/make_exchanger.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "simt/fault_injector.hpp"
@@ -260,10 +261,9 @@ TEST(Recovery, ElasticIdentityMatchesParallelBitwise) {
                               simt::PipelineMode::kSerialized}) {
     simt::Machine machine(P);
     simt::DirectExchange dex(machine);
-    const auto got =
-        elastic::elastic_sttsv(dex, s.part(), s.dist(), s.a, s.x,
-                               BlockAssignment::identity(P),
-                               Transport::kPointToPoint, pipeline);
+    const auto got = core::parallel_sttsv(
+        dex, s.part(), s.dist(), s.a, s.x, Transport::kPointToPoint, pipeline,
+        BlockAssignment::identity(P).hosts());
     expect_bitwise(got.y, ref.y);
   }
 }
@@ -281,18 +281,27 @@ TEST(Recovery, ShrunkenAssignmentsAreBitwiseInvariant) {
   for (const auto& dead : dead_sets) {
     const BlockAssignment shrunk = id.shrink(dead);
     shrunk.validate();
-    simt::Machine machine(P);
-    simt::DirectExchange dex(machine);
-    const auto got = elastic::elastic_sttsv(dex, s.part(), s.dist(), s.a,
-                                            s.x, shrunk,
-                                            Transport::kPointToPoint);
-    expect_bitwise(got.y, ref.y);
-    // Fewer hosts, same data: the survivors' kernels cover every role.
-    std::uint64_t mults = 0;
-    for (const std::uint64_t m : got.ternary_mults) mults += m;
-    std::uint64_t ref_mults = 0;
-    for (const std::uint64_t m : ref.ternary_mults) ref_mults += m;
-    EXPECT_EQ(mults, ref_mults);
+    for (const auto pipeline : {simt::PipelineMode::kDoubleBuffered,
+                                simt::PipelineMode::kSerialized}) {
+      for (const auto kind :
+           {simt::TransportKind::kDirect, simt::TransportKind::kReliable,
+            simt::TransportKind::kOneSidedPut,
+            simt::TransportKind::kActiveMessage}) {
+        simt::Machine machine(P);
+        const auto ex = simt::make_exchanger(machine, kind);
+        const auto got =
+            core::parallel_sttsv(*ex, s.part(), s.dist(), s.a, s.x,
+                                 Transport::kPointToPoint, pipeline,
+                                 shrunk.hosts());
+        expect_bitwise(got.y, ref.y);
+        // Fewer hosts, same data: the survivors' kernels cover every role.
+        std::uint64_t mults = 0;
+        for (const std::uint64_t m : got.ternary_mults) mults += m;
+        std::uint64_t ref_mults = 0;
+        for (const std::uint64_t m : ref.ternary_mults) ref_mults += m;
+        EXPECT_EQ(mults, ref_mults);
+      }
+    }
   }
 }
 
@@ -405,9 +414,9 @@ TEST(Recovery, CrashRecoveryPropertySweep) {
         expect_bitwise(out.result.y, ref.y);
         simt::Machine degraded(P);
         simt::DirectExchange dex(degraded);
-        const auto at_pprime =
-            elastic::elastic_sttsv(dex, s.part(), s.dist(), s.a, s.x,
-                                   out.assignment, Transport::kPointToPoint);
+        const auto at_pprime = core::parallel_sttsv(
+            dex, s.part(), s.dist(), s.a, s.x, Transport::kPointToPoint,
+            simt::PipelineMode::kDoubleBuffered, out.assignment.hosts());
         expect_bitwise(out.result.y, at_pprime.y);
 
         // Three-way ledger conservation, and the recovery channel holds

@@ -418,9 +418,9 @@ TEST(Frontend, BitwiseIsolationUnderOverload) {
     // ...and every y is bitwise identical to running this tenant's jobs
     // alone through batch::Engine on a fresh machine.
     simt::Machine solo(f.plan->num_processors());
-    batch::Engine engine(solo, f.plan, f.a,
-                         batch::EngineOptions{.max_batch_size =
-                                                  opts.batch_width});
+    batch::EngineOptions engine_opts;
+    engine_opts.max_batch_size = opts.batch_width;
+    batch::Engine engine(solo, f.plan, f.a, engine_opts);
     std::vector<std::vector<double>> solo_y(served.size());
     for (std::size_t i = 0; i < served.size(); ++i) {
       engine.submit(std::vector<double>(result.admitted_x[t][i]),
@@ -569,8 +569,9 @@ TEST(Frontend, RequeuesBatchIntactWhenDispatchFaults) {
   EXPECT_TRUE(std::is_sorted(seq_a.begin(), seq_a.end()));
 
   simt::Machine solo(f.plan->num_processors());
-  batch::Engine ref(solo, f.plan, f.a,
-                    batch::EngineOptions{.max_batch_size = opts.batch_width});
+  batch::EngineOptions ref_opts;
+  ref_opts.max_batch_size = opts.batch_width;
+  batch::Engine ref(solo, f.plan, f.a, ref_opts);
   for (const JobResult& r : done) {
     std::vector<double> want;
     ref.submit(job_vector(36, r.tenant == ta ? 0u : 1u, r.seq),
