@@ -70,8 +70,11 @@ std::vector<std::vector<double>> cp_gradient_parallel(
     const partition::VectorDistribution& dist, const tensor::SymTensor3& a,
     const std::vector<std::vector<double>>& columns,
     simt::Transport transport) {
+  // Every column exchanges the same pattern: build it once per gradient.
+  const core::CommTable table(part, dist);
+  simt::DirectExchange direct(machine);
   return gradient_impl(a, columns, [&](const std::vector<double>& x) {
-    return core::parallel_sttsv(machine, part, dist, a, x, transport).y;
+    return core::parallel_sttsv(direct, table, a, x, transport).y;
   });
 }
 

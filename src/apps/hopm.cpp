@@ -67,8 +67,11 @@ HopmResult hopm_parallel(simt::Machine& machine,
                          simt::Transport transport) {
   STTSV_REQUIRE(dist.logical_n() == a.dim(),
                 "distribution/tensor dimension mismatch");
+  // Every iteration exchanges the same pattern: build it once per solve.
+  const core::CommTable table(part, dist);
+  simt::DirectExchange direct(machine);
   return hopm_loop(a, opts, [&](const std::vector<double>& x) {
-    return core::parallel_sttsv(machine, part, dist, a, x, transport).y;
+    return core::parallel_sttsv(direct, table, a, x, transport).y;
   });
 }
 

@@ -37,7 +37,7 @@ steiner::SteinerSystem build_system(const PlanKey& key) {
       return steiner::trivial_triple_system(
           static_cast<std::size_t>(key.param));
   }
-  STTSV_CHECK(false, "unknown Steiner family");
+  STTSV_UNREACHABLE("unknown Steiner family");
 }
 
 }  // namespace

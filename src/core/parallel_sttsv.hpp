@@ -34,6 +34,113 @@ struct ParallelRunResult {
   std::uint64_t max_words_received = 0;
 };
 
+/// Algorithm 5's communication pattern and local layout for one partition,
+/// vector distribution and role→host placement (DESIGN.md §15.6). The
+/// traffic depends only on these three, so a solver builds the table once
+/// and hands it to every parallel_sttsv call of the solve; the table keeps
+/// no reference to its inputs and is immutable once built.
+///
+/// Each role's row blocks live in one flat buffer per vector (x shares
+/// gathered, y partials accumulated), b words per block in R_r order. The
+/// table precomputes every copy a call makes as (src, dst, len) segments:
+/// the seeding and packing of x shares out of the padded input, their
+/// unpacking into the receivers' slots, the packing of partial y out of
+/// the senders' slots and the reduction into the padded output — plus
+/// each role's owned blocks with their slots and a host-pair route index.
+class CommTable {
+ public:
+  /// `host_of_role` places the partition's P roles on ranks; empty means
+  /// every role runs on its own rank. Throws PreconditionError if the
+  /// placement does not cover every role or names a rank >= P.
+  CommTable(const partition::TetraPartition& part,
+            const partition::VectorDistribution& dist,
+            std::span<const std::size_t> host_of_role = {});
+
+  /// P: the partition's roles, and the ranks a machine must have.
+  [[nodiscard]] std::size_t num_roles() const { return host_.size(); }
+  /// Logical vector length n the table was built for.
+  [[nodiscard]] std::size_t logical_n() const { return n_; }
+
+ private:
+  friend ParallelRunResult parallel_sttsv(simt::Exchanger&, const CommTable&,
+                                          const tensor::SymTensor3&,
+                                          const std::vector<double>&,
+                                          simt::Transport,
+                                          simt::PipelineMode);
+
+  static constexpr std::size_t kNoRoute = static_cast<std::size_t>(-1);
+
+  /// [src, src + len) copied (or added) to [dst, dst + len). For a link
+  /// reduced from the wire, src counts from the start of its route's
+  /// envelope instead of the flat y buffer.
+  struct Segment {
+    std::size_t src = 0;
+    std::size_t dst = 0;
+    std::size_t len = 0;
+  };
+  struct Range {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+  template <class T>
+  static std::span<const T> slice(const std::vector<T>& v, Range range) {
+    return {v.data() + range.begin, range.end - range.begin};
+  }
+  /// One owned block and the flat-buffer slots of its row blocks
+  /// coord.i, coord.j and coord.k (the same in the x and y buffers).
+  struct Block {
+    partition::BlockCoord coord;
+    std::size_t slot[3] = {0, 0, 0};
+  };
+  /// One envelope per phase from host `from` to host `to`.
+  struct Route {
+    std::size_t from = 0;
+    std::size_t to = 0;
+    Range x;  // x_route_: x_pad -> receiving role's flat x slot
+    Range y;  // y_route_: sending role's flat y slot -> y_pad
+    std::size_t x_words = 0;
+    std::size_t y_words = 0;
+  };
+  /// Reduction of one sending role's partials into one receiving role's
+  /// share: from the flat y buffer (co-hosted roles) or from the
+  /// delivered envelope of `route`.
+  struct Sender {
+    std::size_t route = kNoRoute;
+    Range segments;  // into reduce_
+  };
+
+  std::size_t n_ = 0;
+  std::size_t padded_n_ = 0;
+  std::size_t b_ = 0;
+  std::vector<std::size_t> host_;   // role -> rank
+  std::vector<std::size_t> roles_;  // roles by (host, role)
+  std::vector<Range> roles_of_;     // rank -> roles_
+  std::vector<std::size_t> live_;   // ranks hosting a role, ascending
+  // live_ split by position parity: the two-chunk pipeline's host groups.
+  std::vector<std::size_t> live_half_[2];
+  std::vector<std::size_t> half_of_host_;  // rank -> 0/1
+  bool identity_ = true;                   // every role on its own rank
+  std::vector<std::size_t> base_;  // role -> first flat word; P+1 entries
+  std::vector<Range> seed_of_;     // role -> seed_: own + co-hosted x
+  std::vector<Segment> seed_;
+  std::vector<Range> blocks_of_;  // role -> blocks_
+  std::vector<Block> blocks_;
+  std::vector<Range> own_of_;  // role -> own_: own partial y -> y_pad
+  std::vector<Segment> own_;
+  // role -> senders_, sending roles ascending: the reduction order.
+  std::vector<Range> senders_of_;
+  std::vector<Sender> senders_;
+  std::vector<Segment> reduce_;
+  std::vector<Route> routes_;  // (from, to) ascending
+  std::vector<Segment> x_route_;
+  std::vector<Segment> y_route_;
+  std::vector<std::size_t> route_index_;  // from * P + to -> route
+
+  /// The route carrying host hf's envelope to host ht.
+  [[nodiscard]] std::size_t route_between(std::size_t hf,
+                                          std::size_t ht) const;
+};
+
 /// Runs y = A ×₂ x ×₃ x on `machine` using the given partition and vector
 /// distribution. Requirements: machine.num_ranks() == part.num_processors(),
 /// dist built over the same partition, x.size() == dist.logical_n(),
@@ -73,5 +180,15 @@ ParallelRunResult parallel_sttsv(
     const std::vector<double>& x, simt::Transport transport,
     simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered,
     std::span<const std::size_t> host_of_role = {});
+
+/// The same run over a prebuilt table: the overloads above build one per
+/// call and forward here. Requirements: exchanger.machine().num_ranks() ==
+/// table.num_roles(), x.size() == a.dim() == table.logical_n(). y and the
+/// ledger are bitwise those of the per-call overloads.
+ParallelRunResult parallel_sttsv(
+    simt::Exchanger& exchanger, const CommTable& table,
+    const tensor::SymTensor3& a, const std::vector<double>& x,
+    simt::Transport transport,
+    simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered);
 
 }  // namespace sttsv::core

@@ -101,6 +101,7 @@ Planner::Planner(std::size_t processor_budget, std::size_t n) {
   part_ = std::make_unique<partition::TetraPartition>(
       partition::TetraPartition::build(std::move(sys)));
   dist_ = std::make_unique<partition::VectorDistribution>(*part_, n);
+  table_ = std::make_unique<const CommTable>(*part_, *dist_);
 
   summary_.processors = part_->num_processors();
   summary_.row_blocks = part_->num_row_blocks();
@@ -127,7 +128,8 @@ std::vector<double> Planner::run(simt::Machine& machine,
                                  const tensor::SymTensor3& a,
                                  const std::vector<double>& x,
                                  simt::Transport transport) const {
-  return parallel_sttsv(machine, *part_, *dist_, a, x, transport).y;
+  simt::DirectExchange direct(machine);
+  return parallel_sttsv(direct, *table_, a, x, transport).y;
 }
 
 }  // namespace sttsv::core

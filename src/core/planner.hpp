@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/parallel_sttsv.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "simt/machine.hpp"
@@ -60,6 +61,7 @@ class Planner {
  private:
   std::unique_ptr<partition::TetraPartition> part_;
   std::unique_ptr<partition::VectorDistribution> dist_;
+  std::unique_ptr<const CommTable> table_;  // built once, reused per run
   PlanSummary summary_;
 };
 

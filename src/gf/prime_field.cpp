@@ -200,7 +200,7 @@ Poly find_primitive_poly(const PrimeField& F, unsigned degree) {
     if (f[0] == 0) continue;  // reducible: divisible by x
     if (poly_is_primitive(F, f)) return f;
   }
-  STTSV_CHECK(false, "no primitive polynomial found (unreachable)");
+  STTSV_UNREACHABLE("no primitive polynomial found");
 }
 
 }  // namespace sttsv::gf

@@ -66,7 +66,7 @@ std::size_t entries_in_block(BlockType type, std::size_t b) {
     case BlockType::kCentralDiagonal:
       return b * (b + 1) * (b + 2) / 6;
   }
-  STTSV_CHECK(false, "unreachable block type");
+  STTSV_UNREACHABLE("unknown block type");
 }
 
 std::size_t ternary_mults_in_block(BlockType type, std::size_t b) {
@@ -81,7 +81,7 @@ std::size_t ternary_mults_in_block(BlockType type, std::size_t b) {
       // Strict entries 3 each, two-equal entries 2 each, center 1 each.
       return 3 * (b * (b - 1) * (b - 2) / 6) + 2 * (b * (b - 1)) + b;
   }
-  STTSV_CHECK(false, "unreachable block type");
+  STTSV_UNREACHABLE("unknown block type");
 }
 
 }  // namespace sttsv::partition

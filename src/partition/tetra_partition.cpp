@@ -157,7 +157,7 @@ std::size_t TetraPartition::owner(const BlockCoord& c) const {
       STTSV_CHECK(false, "triple not covered by any Steiner block");
     }
   }
-  STTSV_CHECK(false, "unreachable");
+  STTSV_UNREACHABLE("unknown block type");
 }
 
 std::size_t TetraPartition::stored_entries(std::size_t p,

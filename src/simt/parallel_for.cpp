@@ -58,6 +58,9 @@ class Pool {
     done_cv_.wait(lk, [&] {
       return running_ == 0 && next_.load(std::memory_order_relaxed) >= count_;
     });
+    // A helper that wakes only now must not take a leftover slot: it
+    // would read count_ while the next run() writes it.
+    helper_slots_ = 0;
     body_ = nullptr;
     if (error_ != nullptr) {
       std::exception_ptr err = error_;

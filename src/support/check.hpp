@@ -8,6 +8,9 @@
 //                  matchings, partitions) whose failure would silently produce
 //                  wrong communication schedules, so they stay on in release.
 // STTSV_DCHECK   - hot-path invariant; compiled out unless STTSV_DEBUG_CHECKS.
+// STTSV_UNREACHABLE - ends a path that must never run (e.g. after a switch
+//                  over every enumerator) with an unconditional InternalError,
+//                  so no compiler flags the function for a missing return.
 
 #include <stdexcept>
 #include <string>
@@ -50,6 +53,9 @@ namespace detail {
                                       (msg));                         \
     }                                                                 \
   } while (false)
+
+#define STTSV_UNREACHABLE(msg) \
+  ::sttsv::detail::throw_internal("unreachable", __FILE__, __LINE__, (msg))
 
 #ifdef STTSV_DEBUG_CHECKS
 #define STTSV_DCHECK(expr, msg) STTSV_CHECK(expr, msg)

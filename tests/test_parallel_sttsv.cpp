@@ -6,11 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "core/costs.hpp"
 #include "core/parallel_sttsv.hpp"
 #include "core/sttsv_seq.hpp"
+#include "elastic/assignment.hpp"
+#include "hier/compose.hpp"
+#include "hier/make_exchanger.hpp"
+#include "obs/metrics.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "steiner/constructions.hpp"
@@ -183,6 +190,109 @@ TEST(ParallelSttsv, LowRankTensorSanity) {
   const auto result = parallel_sttsv(machine, part, dist, a, x,
                                      simt::Transport::kPointToPoint);
   expect_equal(result.y, sttsv_packed(a, x), 1e-9);
+}
+
+bool bitwise_equal(const std::vector<double>& a,
+                   const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+std::vector<std::pair<std::string, std::uint64_t>> ledger_counters(
+    const simt::Machine& machine) {
+  obs::MetricsRegistry reg;
+  machine.ledger().to_metrics(reg);
+  return reg.counters();
+}
+
+TEST(ParallelSttsv, ReusedCommTableMatchesPerCallRunsBitwise) {
+  // Padded n: uneven shares exercise every segment length.
+  const std::size_t n = 61;
+  Fixture s = make_setup(steiner::spherical_system(2), n, 41);
+  const std::size_t P = s.part().num_processors();
+  Rng rng(42);
+  std::vector<std::vector<double>> xs;
+  std::vector<std::vector<double>> flat_y;
+  for (int v = 0; v < 3; ++v) {
+    xs.push_back(rng.uniform_vector(n));
+    simt::Machine flat(P);
+    flat_y.push_back(parallel_sttsv(flat, s.part(), s.dist(), s.a, xs.back(),
+                                    simt::Transport::kPointToPoint)
+                         .y);
+  }
+  const std::vector<std::uint32_t> node_of =
+      hier::compose_assignment(s.part(), s.dist(), 2).node_of;
+  const std::vector<std::size_t> shrunk =
+      elastic::BlockAssignment::identity(P).shrink({2, 5}).hosts();
+
+  for (const std::vector<std::size_t>& placement :
+       {std::vector<std::size_t>{}, shrunk}) {
+    const CommTable table(s.part(), s.dist(), placement);
+    for (const auto kind :
+         {simt::TransportKind::kDirect, simt::TransportKind::kReliable,
+          simt::TransportKind::kOneSidedPut,
+          simt::TransportKind::kActiveMessage,
+          simt::TransportKind::kHierarchical}) {
+      simt::ExchangerConfig config;
+      config.kind = kind;
+      if (kind == simt::TransportKind::kHierarchical) config.node_of = node_of;
+      for (const auto mode : {simt::PipelineMode::kSerialized,
+                              simt::PipelineMode::kDoubleBuffered}) {
+        SCOPED_TRACE(std::string(simt::transport_kind_name(kind)) +
+                     (placement.empty() ? " identity" : " shrunk") +
+                     (mode == simt::PipelineMode::kSerialized
+                          ? " serialized"
+                          : " double-buffered"));
+        simt::Machine reused_machine(P);
+        simt::Machine per_call_machine(P);
+        const auto reused = simt::make_exchanger(reused_machine, config);
+        const auto per_call = simt::make_exchanger(per_call_machine, config);
+        for (std::size_t v = 0; v < xs.size(); ++v) {
+          const auto got = parallel_sttsv(*reused, table, s.a, xs[v],
+                                          simt::Transport::kPointToPoint,
+                                          mode);
+          const auto want = parallel_sttsv(
+              *per_call, s.part(), s.dist(), s.a, xs[v],
+              simt::Transport::kPointToPoint, mode, placement);
+          EXPECT_TRUE(bitwise_equal(got.y, want.y)) << "call " << v;
+          EXPECT_TRUE(bitwise_equal(got.y, flat_y[v])) << "call " << v;
+          EXPECT_EQ(got.ternary_mults, want.ternary_mults);
+          // Both machines started empty, so equal totals after every call
+          // mean equal per-call deltas.
+          EXPECT_EQ(ledger_counters(reused_machine),
+                    ledger_counters(per_call_machine))
+              << "call " << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelSttsv, CommTableRejectsMismatchedOperands) {
+  Fixture s = make_setup(steiner::spherical_system(2), 60, 43);
+  const CommTable table(s.part(), s.dist());
+  EXPECT_EQ(table.num_roles(), 10u);
+  EXPECT_EQ(table.logical_n(), 60u);
+  simt::Machine machine(10);
+  simt::DirectExchange direct(machine);
+  EXPECT_THROW(parallel_sttsv(direct, table, s.a, std::vector<double>(61, 1.0),
+                              simt::Transport::kPointToPoint),
+               PreconditionError);
+  Rng rng(44);
+  const auto other = tensor::random_symmetric(61, rng);
+  EXPECT_THROW(parallel_sttsv(direct, table, other,
+                              std::vector<double>(61, 1.0),
+                              simt::Transport::kPointToPoint),
+               PreconditionError);
+  simt::Machine wrong(7);
+  simt::DirectExchange wrong_direct(wrong);
+  EXPECT_THROW(parallel_sttsv(wrong_direct, table, s.a, s.x,
+                              simt::Transport::kPointToPoint),
+               PreconditionError);
+  EXPECT_THROW(CommTable(s.part(), s.dist(), std::vector<std::size_t>(3, 0)),
+               PreconditionError);
+  EXPECT_THROW(CommTable(s.part(), s.dist(), std::vector<std::size_t>(10, 10)),
+               PreconditionError);
 }
 
 TEST(ParallelSttsv, RequiresMatchingRankCount) {
