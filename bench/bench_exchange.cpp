@@ -1,5 +1,5 @@
 // Exchange-path microbenchmark (DESIGN.md §12): pump the Algorithm-5
-// x-panel exchange pattern (spherical q=2, P=10, n=256, B-lane panels)
+// x-share exchange pattern (spherical q=2, P=10, n=256, B-lane panels)
 // through two schedules and compare
 //
 //   * baseline — the pre-pool path: every message packed into freshly
@@ -40,9 +40,9 @@ namespace {
 using namespace sttsv;
 
 struct Workload {
-  const batch::Plan* plan = nullptr;
+  std::size_t ranks = 0;
+  std::vector<core::CommTable::RouteView> routes;  // the plan's table
   std::size_t lanes = 0;
-  std::size_t block_b = 0;
   std::vector<double> x_pad;            // lane-interleaved panel
   std::uint64_t words_per_superstep = 0;
 };
@@ -56,21 +56,16 @@ std::vector<std::vector<simt::Envelope>> pack_chunk(const Workload& w,
                                                     std::size_t chunks,
                                                     std::size_t c,
                                                     Acquire&& acquire) {
-  const std::size_t P = w.plan->num_processors();
   const std::size_t B = w.lanes;
-  std::vector<std::vector<simt::Envelope>> outboxes(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    for (const batch::Plan::PeerExchange& ex : w.plan->exchanges(p)) {
-      if (ex.x_words == 0) continue;
-      if ((p + ex.peer) % chunks != c) continue;
-      simt::PooledBuffer buf = acquire(p, ex.x_words * B);
-      for (const batch::Plan::BlockSlice& s : ex.slices) {
-        buf.append(
-            w.x_pad.data() + (s.block * w.block_b + s.sender.offset) * B,
-            s.sender.length * B);
-      }
-      outboxes[p].push_back(simt::Envelope{ex.peer, std::move(buf)});
+  std::vector<std::vector<simt::Envelope>> outboxes(w.ranks);
+  for (const core::CommTable::RouteView& route : w.routes) {
+    if (route.x_words == 0) continue;
+    if ((route.from + route.to) % chunks != c) continue;
+    simt::PooledBuffer buf = acquire(route.from, route.x_words * B);
+    for (const core::CommTable::Segment& s : route.x) {
+      buf.append(w.x_pad.data() + s.src * B, s.len * B);
     }
+    outboxes[route.from].push_back(simt::Envelope{route.to, std::move(buf)});
   }
   return outboxes;
 }
@@ -165,18 +160,15 @@ int main(int argc, char** argv) {
   const auto plan = batch::Plan::build(batch::plan_key(
       n, batch::Family::kSpherical, 2, simt::Transport::kPointToPoint));
   const std::size_t P = plan->num_processors();
-  const std::size_t b = plan->distribution().block_length_b();
 
   Workload w;
-  w.plan = plan.get();
+  w.ranks = P;
+  w.routes = plan->table().routes();
   w.lanes = lanes;
-  w.block_b = b;
   Rng rng(2025);
   w.x_pad = rng.uniform_vector(plan->distribution().padded_n() * lanes);
-  for (std::size_t p = 0; p < P; ++p) {
-    for (const batch::Plan::PeerExchange& ex : plan->exchanges(p)) {
-      w.words_per_superstep += ex.x_words * lanes;
-    }
+  for (const core::CommTable::RouteView& route : w.routes) {
+    w.words_per_superstep += route.x_words * lanes;
   }
 
   simt::Machine base_machine(P);

@@ -111,7 +111,7 @@ class Engine {
   /// elastic-shrink hook: after a membership change the caller rebuilds
   /// the plan under a fresh PlanKey::epoch and rebinds without tearing
   /// the engine (and its queue/stats/ids) down. Prewarms the pool for
-  /// the new plan's walk.
+  /// the new plan's routes.
   void rebind_plan(std::shared_ptr<const Plan> plan);
 
   [[nodiscard]] std::size_t pending() const {

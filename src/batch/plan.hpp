@@ -2,7 +2,7 @@
 // Memoized execution plans for repeated STTSV runs against one tensor
 // shape (DESIGN.md §9). Building a run's combinatorial state — the
 // Steiner system, the tetrahedral partition, the vector distribution and
-// the per-pair exchange walk — costs far more than a single apply once
+// the communication table — costs far more than a single apply once
 // the tensor is resident, and none of it depends on the vector values.
 // A Plan captures all of it immutably; a PlanCache memoizes Plans by
 // (n, P, Steiner family, transport) with LRU eviction so serving
@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/parallel_sttsv.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "simt/machine.hpp"
@@ -62,34 +63,14 @@ struct PlanKeyHash {
   std::size_t operator()(const PlanKey& k) const noexcept;
 };
 
-/// An immutable, shareable plan: partition + distribution + the exchange
-/// walk of Algorithm 5 precomputed per ordered rank pair. parallel_sttsv
-/// rederives this walk (peer sets, R_p intersections, shares) on every
-/// call; batched runs read it straight from the plan.
+/// An immutable, shareable plan: partition + distribution + the
+/// core::CommTable of Algorithm 5 at the identity placement, which every
+/// batched run over this plan reuses.
 class Plan {
  public:
-  /// One row-block share inside one aggregated message for the ordered
-  /// pair (p, peer): `sender` is p's share of row block `block` (what a
-  /// phase-1 x message carries), `receiver` is the peer's share (what a
-  /// phase-3 partial-y message carries).
-  struct BlockSlice {
-    std::size_t block = 0;
-    partition::Share sender;
-    partition::Share receiver;
-  };
-
-  /// All traffic between p and one peer, slices in ascending block order
-  /// (the deterministic walk both endpoints replay).
-  struct PeerExchange {
-    std::size_t peer = 0;
-    std::vector<BlockSlice> slices;
-    std::size_t x_words = 0;  // per-vector words sent p -> peer in phase 1
-    std::size_t y_words = 0;  // per-vector words sent p -> peer in phase 3
-  };
-
   /// Builds the plan for `key` (constructs the Steiner system, partition,
-  /// distribution, and exchange walks). Throws PreconditionError on an
-  /// inadmissible key (e.g. non-prime-power q).
+  /// distribution and communication table). Throws PreconditionError on
+  /// an inadmissible key (e.g. non-prime-power q).
   static std::shared_ptr<const Plan> build(const PlanKey& key);
 
   [[nodiscard]] const PlanKey& key() const { return key_; }
@@ -101,16 +82,8 @@ class Plan {
   }
   [[nodiscard]] std::size_t num_processors() const { return key_.processors; }
 
-  /// Exchanges of rank p, ascending peer order; only peers with traffic.
-  [[nodiscard]] const std::vector<PeerExchange>& exchanges(
-      std::size_t p) const {
-    return exchanges_[p];
-  }
-
-  /// The exchange record for the ordered pair (from, to); both ranks must
-  /// actually exchange data (throws otherwise).
-  [[nodiscard]] const PeerExchange& exchange_between(std::size_t from,
-                                                     std::size_t to) const;
+  /// The communication table, every role on its own rank.
+  [[nodiscard]] const core::CommTable& table() const { return table_; }
 
   /// Owned blocks of p (cached copy of partition().owned_blocks(p)).
   [[nodiscard]] const std::vector<partition::BlockCoord>& owned(
@@ -126,7 +99,7 @@ class Plan {
     return simt::Machine(key_.processors);
   }
 
-  /// Pre-sizes a machine's BufferPool from this plan's exchange walk: for
+  /// Pre-sizes a machine's BufferPool from this plan's table routes: for
   /// every (rank, peer) message of up to `lanes` aggregated vectors, the
   /// serving slab bucket is topped up, so the first batch — not just the
   /// second — runs the message path allocation-free (DESIGN.md §12).
@@ -140,7 +113,7 @@ class Plan {
   PlanKey key_;
   std::unique_ptr<partition::TetraPartition> part_;
   std::unique_ptr<partition::VectorDistribution> dist_;
-  std::vector<std::vector<PeerExchange>> exchanges_;
+  core::CommTable table_;
   std::vector<std::vector<partition::BlockCoord>> owned_;
   // local_index lookup: per rank, row block -> position in R_p (or npos).
   std::vector<std::vector<std::size_t>> local_index_;

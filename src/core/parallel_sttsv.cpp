@@ -6,7 +6,7 @@
 #include <numeric>
 #include <utility>
 
-#include "core/block_kernels.hpp"
+#include "core/panel_kernels.hpp"
 #include "obs/trace.hpp"
 #include "simt/pipeline.hpp"
 #include "support/check.hpp"
@@ -233,6 +233,16 @@ CommTable::CommTable(const TetraPartition& part,
   }
 }
 
+std::vector<CommTable::RouteView> CommTable::routes() const {
+  std::vector<RouteView> views;
+  views.reserve(routes_.size());
+  for (const Route& route : routes_) {
+    views.push_back(RouteView{route.from, route.to, route.x_words,
+                              route.y_words, slice(x_route_, route.x)});
+  }
+  return views;
+}
+
 std::size_t CommTable::route_between(std::size_t hf, std::size_t ht) const {
   const std::size_t P = num_roles();
   const std::size_t route =
@@ -271,17 +281,38 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
                                  const std::vector<double>& x,
                                  simt::Transport transport,
                                  simt::PipelineMode pipeline) {
+  BatchRunResult run =
+      parallel_sttsv(exchanger, table, a, std::span(&x, 1), transport,
+                     pipeline);
+  ParallelRunResult result;
+  result.y = std::move(run.y.front());
+  result.ternary_mults = std::move(run.ternary_mults);
+  result.max_words_sent = run.maxima.words_sent;
+  result.max_words_received = run.maxima.words_received;
+  return result;
+}
+
+BatchRunResult parallel_sttsv(simt::Exchanger& exchanger,
+                              const CommTable& table,
+                              const tensor::SymTensor3& a,
+                              std::span<const std::vector<double>> x,
+                              simt::Transport transport,
+                              simt::PipelineMode pipeline) {
   using Segment = CommTable::Segment;
   using Route = CommTable::Route;
   simt::Machine& machine = exchanger.machine();
   const std::size_t P = table.num_roles();
   const std::size_t b = table.b_;
   const std::size_t n = table.n_;
+  const std::size_t B = x.size();
   const std::vector<std::size_t>& base = table.base_;
   STTSV_REQUIRE(machine.num_ranks() == P,
                 "machine rank count must match partition");
   STTSV_REQUIRE(a.dim() == n, "tensor dimension must match distribution");
-  STTSV_REQUIRE(x.size() == n, "input vector length mismatch");
+  STTSV_REQUIRE(B >= 1, "batch must contain at least one vector");
+  for (const std::vector<double>& xv : x) {
+    STTSV_REQUIRE(xv.size() == n, "input vector length mismatch");
+  }
 
   // Each communication phase is one logical exchange split into pair-block
   // chunks: chunk t+1 packs (or computes) while chunk t is on the wire.
@@ -298,12 +329,16 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
     return chunks == 1 ? 0 : table.half_of_host_[h];
   };
 
-  // Padded copy of x: row block i occupies [i*b, (i+1)*b).
-  std::vector<double> x_pad(table.padded_n_, 0.0);
-  std::copy(x.begin(), x.end(), x_pad.begin());
+  // Every buffer below holds B lanes, element g of lane v at g·B + v, so
+  // each table segment (src, dst, len) applies as (src·B, dst·B, len·B).
+  // Padded input panel: row block i occupies [i·b·B, (i+1)·b·B).
+  std::vector<double> x_pad(table.padded_n_ * B, 0.0);
+  for (std::size_t v = 0; v < B; ++v) {
+    for (std::size_t g = 0; g < n; ++g) x_pad[g * B + v] = x[v][g];
+  }
 
   // ---- Phase 1: exchange x shares (Algorithm 5 lines 10-21). ----------
-  // Every role's row blocks (b words each) sit in one flat buffer. They
+  // Every role's row blocks (b·B words each) sit in one flat buffer. They
   // are seeded with the role's own share, and with co-hosted roles'
   // shares, up front, so each pipeline part's deliveries can be unpacked
   // the moment it completes: every delivery writes a disjoint (block,
@@ -314,15 +349,17 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
   // half of DESIGN.md §17. Host programs stay disjoint (host h writes only
   // its roles' slots), so the parallel seed is bitwise identical to the
   // sequential one.
-  obs::Span x_phase("sttsv.x-shares", obs::Category::kSuperstep);
-  const auto x_loc = std::make_unique_for_overwrite<double[]>(base[P]);
+  obs::Span x_phase("sttsv.x-shares", obs::Category::kSuperstep, B);
+  const auto x_loc = std::make_unique_for_overwrite<double[]>(base[P] * B);
   machine.run_ranks(table.live_, [&](std::size_t h) {
     for (const std::size_t r :
          CommTable::slice(table.roles_, table.roles_of_[h])) {
-      std::fill(x_loc.get() + base[r], x_loc.get() + base[r + 1], 0.0);
+      std::fill(x_loc.get() + base[r] * B, x_loc.get() + base[r + 1] * B,
+                0.0);
       for (const Segment& s : CommTable::slice(table.seed_,
                                                table.seed_of_[r])) {
-        std::copy_n(x_pad.data() + s.src, s.len, x_loc.get() + s.dst);
+        std::copy_n(x_pad.data() + s.src * B, s.len * B,
+                    x_loc.get() + s.dst * B);
       }
     }
   });
@@ -337,9 +374,9 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
         continue;
       }
       simt::PooledBuffer buf =
-          machine.pool().acquire(route.from, route.x_words);
+          machine.pool().acquire(route.from, route.x_words * B);
       for (const Segment& s : CommTable::slice(table.x_route_, route.x)) {
-        buf.append(x_pad.data() + s.src, s.len);
+        buf.append(x_pad.data() + s.src * B, s.len * B);
       }
       outboxes[route.from].push_back(Envelope{route.to, std::move(buf)});
     }
@@ -349,12 +386,12 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
     for (std::size_t h = 0; h < in.size(); ++h) {
       for (const Delivery& d : in[h]) {
         const Route& route = table.routes_[table.route_between(d.from, h)];
-        STTSV_CHECK(d.data.size() == route.x_words,
+        STTSV_CHECK(d.data.size() == route.x_words * B,
                     "x delivery length differs from the route's shares");
         const double* cursor = d.data.data();
         for (const Segment& s : CommTable::slice(table.x_route_, route.x)) {
-          std::copy_n(cursor, s.len, x_loc.get() + s.dst);
-          cursor += s.len;
+          std::copy_n(cursor, s.len * B, x_loc.get() + s.dst * B);
+          cursor += s.len * B;
         }
       }
     }
@@ -371,8 +408,8 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
   // messages, so the other group's kernels overlap the wire time. The
   // reduction below is deferred until every part has landed, which pins
   // the exact floating-point order of the serialized schedule.
-  const auto y_loc = std::make_unique_for_overwrite<double[]>(base[P]);
-  ParallelRunResult result;
+  const auto y_loc = std::make_unique_for_overwrite<double[]>(base[P] * B);
+  BatchRunResult result;
   result.ternary_mults.assign(P, 0);
 
   // Active-message transports run the reduction at the target instead of
@@ -386,27 +423,29 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
   // its own rank; any other placement reduces from returned deliveries.
   const bool am_reduce =
       table.identity_ && exchanger.supports_handler_delivery();
-  std::vector<double> y_pad(table.padded_n_, 0.0);
+  std::vector<double> y_pad(table.padded_n_ * B, 0.0);
   const auto add_own_partials = [&](std::size_t r) {
     for (const Segment& s : CommTable::slice(table.own_, table.own_of_[r])) {
-      add_into(y_pad.data() + s.dst, y_loc.get() + s.src, s.len);
+      add_into(y_pad.data() + s.dst * B, y_loc.get() + s.src * B, s.len * B);
     }
   };
 
-  obs::Span y_phase("sttsv.y-partials", obs::Category::kSuperstep);
+  obs::Span y_phase("sttsv.y-partials", obs::Category::kSuperstep, B);
   const auto pack_y = [&](std::size_t c) {
     machine.run_ranks(chunk_hosts(c), [&](std::size_t h) {
       for (const std::size_t r :
          CommTable::slice(table.roles_, table.roles_of_[h])) {
-        std::fill(y_loc.get() + base[r], y_loc.get() + base[r + 1], 0.0);
+        std::fill(y_loc.get() + base[r] * B, y_loc.get() + base[r + 1] * B,
+                  0.0);
         for (const CommTable::Block& block :
              CommTable::slice(table.blocks_, table.blocks_of_[r])) {
-          BlockBuffers buf;
+          PanelBuffers buf;
           for (std::size_t t = 0; t < 3; ++t) {
-            buf.x[t] = x_loc.get() + block.slot[t];
-            buf.y[t] = y_loc.get() + block.slot[t];
+            buf.x[t] = x_loc.get() + block.slot[t] * B;
+            buf.y[t] = y_loc.get() + block.slot[t] * B;
           }
-          result.ternary_mults[r] += apply_block(a, block.coord, b, buf);
+          result.ternary_mults[r] +=
+              apply_block_panel(a, block.coord, b, B, buf);
         }
         if (am_reduce) add_own_partials(r);
       }
@@ -415,9 +454,9 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
     for (const Route& route : table.routes_) {
       if (chunk_of_host(route.from) != c || route.y_words == 0) continue;
       simt::PooledBuffer buf =
-          machine.pool().acquire(route.from, route.y_words);
+          machine.pool().acquire(route.from, route.y_words * B);
       for (const Segment& s : CommTable::slice(table.y_route_, route.y)) {
-        buf.append(y_loc.get() + s.src, s.len);
+        buf.append(y_loc.get() + s.src * B, s.len * B);
       }
       y_out[route.from].push_back(Envelope{route.to, std::move(buf)});
     }
@@ -444,11 +483,11 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
                                        const double* data,
                                        std::size_t words) {
       const Route& route = table.routes_[table.route_between(from, target)];
-      STTSV_CHECK(words == route.y_words,
+      STTSV_CHECK(words == route.y_words * B,
                   "y delivery length differs from the route's shares");
       for (const Segment& s : CommTable::slice(table.y_route_, route.y)) {
-        add_into(y_pad.data() + s.dst, data, s.len);
-        data += s.len;
+        add_into(y_pad.data() + s.dst * B, data, s.len * B);
+        data += s.len * B;
       }
     });
   }
@@ -465,7 +504,7 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
     for (std::size_t h = 0; h < P; ++h) {
       for (const Delivery& d : y_in[h]) {
         const std::size_t route = table.route_between(d.from, h);
-        STTSV_CHECK(d.data.size() == table.routes_[route].y_words,
+        STTSV_CHECK(d.data.size() == table.routes_[route].y_words * B,
                     "y delivery length differs from the route's shares");
         route_y[route] = d.data.data();
       }
@@ -480,17 +519,18 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
         if (src == nullptr) continue;
         for (const Segment& s :
              CommTable::slice(table.reduce_, sender.segments)) {
-          add_into(y_pad.data() + s.dst, src + s.src, s.len);
+          add_into(y_pad.data() + s.dst * B, src + s.src * B, s.len * B);
         }
       }
     }
   }
 
   machine.ledger().verify_conservation();
-  result.y.assign(y_pad.begin(), y_pad.begin() + static_cast<long>(n));
-  const simt::LedgerMaxima maxima = machine.ledger().maxima();
-  result.max_words_sent = maxima.words_sent;
-  result.max_words_received = maxima.words_received;
+  result.y.assign(B, std::vector<double>(n));
+  for (std::size_t v = 0; v < B; ++v) {
+    for (std::size_t g = 0; g < n; ++g) result.y[v][g] = y_pad[g * B + v];
+  }
+  result.maxima = machine.ledger().maxima();
   return result;
 }
 

@@ -16,6 +16,7 @@
 
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
+#include "simt/ledger.hpp"
 #include "simt/machine.hpp"
 #include "simt/pipeline.hpp"
 #include "simt/reliable_exchange.hpp"
@@ -34,6 +35,15 @@ struct ParallelRunResult {
   std::uint64_t max_words_received = 0;
 };
 
+struct BatchRunResult {
+  /// y[v] is the assembled output for input vector v, logical length n.
+  std::vector<std::vector<double>> y;
+  /// Ternary multiplications per role, summed over the lanes.
+  std::vector<std::uint64_t> ternary_mults;
+  /// Ledger maxima after this run (CommLedger::maxima()).
+  simt::LedgerMaxima maxima;
+};
+
 /// Algorithm 5's communication pattern and local layout for one partition,
 /// vector distribution and role→host placement (DESIGN.md §15.6). The
 /// traffic depends only on these three, so a solver builds the table once
@@ -47,8 +57,29 @@ struct ParallelRunResult {
 /// unpacking into the receivers' slots, the packing of partial y out of
 /// the senders' slots and the reduction into the padded output — plus
 /// each role's owned blocks with their slots and a host-pair route index.
+/// The segments count words of one vector; a run over B lanes applies
+/// each as (src·B, dst·B, len·B) to lane-interleaved buffers.
 class CommTable {
  public:
+  /// [src, src + len) copied (or added) to [dst, dst + len). For a link
+  /// reduced from the wire, src counts from the start of its route's
+  /// envelope instead of the flat y buffer.
+  struct Segment {
+    std::size_t src = 0;
+    std::size_t dst = 0;
+    std::size_t len = 0;
+  };
+  /// A read-only view of one route: its hosts, the per-vector words of
+  /// its x and y envelopes, and its x copy list (src into the padded
+  /// input, dst into the receiving roles' flat x slots).
+  struct RouteView {
+    std::size_t from = 0;
+    std::size_t to = 0;
+    std::size_t x_words = 0;
+    std::size_t y_words = 0;
+    std::span<const Segment> x;
+  };
+
   /// `host_of_role` places the partition's P roles on ranks; empty means
   /// every role runs on its own rank. Throws PreconditionError if the
   /// placement does not cover every role or names a rank >= P.
@@ -60,24 +91,19 @@ class CommTable {
   [[nodiscard]] std::size_t num_roles() const { return host_.size(); }
   /// Logical vector length n the table was built for.
   [[nodiscard]] std::size_t logical_n() const { return n_; }
+  /// Every route, (from, to) ascending: a phase's envelope order. Routes
+  /// may carry 0 words in a phase; parallel_sttsv sends no envelope for
+  /// those.
+  [[nodiscard]] std::vector<RouteView> routes() const;
 
  private:
-  friend ParallelRunResult parallel_sttsv(simt::Exchanger&, const CommTable&,
-                                          const tensor::SymTensor3&,
-                                          const std::vector<double>&,
-                                          simt::Transport,
-                                          simt::PipelineMode);
+  friend BatchRunResult parallel_sttsv(simt::Exchanger&, const CommTable&,
+                                       const tensor::SymTensor3&,
+                                       std::span<const std::vector<double>>,
+                                       simt::Transport, simt::PipelineMode);
 
   static constexpr std::size_t kNoRoute = static_cast<std::size_t>(-1);
 
-  /// [src, src + len) copied (or added) to [dst, dst + len). For a link
-  /// reduced from the wire, src counts from the start of its route's
-  /// envelope instead of the flat y buffer.
-  struct Segment {
-    std::size_t src = 0;
-    std::size_t dst = 0;
-    std::size_t len = 0;
-  };
   struct Range {
     std::size_t begin = 0;
     std::size_t end = 0;
@@ -188,6 +214,20 @@ ParallelRunResult parallel_sttsv(
 ParallelRunResult parallel_sttsv(
     simt::Exchanger& exchanger, const CommTable& table,
     const tensor::SymTensor3& a, const std::vector<double>& x,
+    simt::Transport transport,
+    simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered);
+
+/// Runs the B >= 1 vectors {x_0..x_{B-1}} through one Algorithm-5 pass
+/// over `table`: the single-vector overloads are this run at B = 1. All B
+/// shares between two hosts ride in one envelope per phase, lane-
+/// interleaved (element g of lane v at g·B + v), so messages and rounds
+/// are those of one vector while words are exactly B × its words. Lane v
+/// of y is bitwise the single-vector run on x_v, under every exchanger,
+/// placement and pipeline mode; ternary_mults are summed over the lanes.
+/// Requirements as above, for every x_v.
+BatchRunResult parallel_sttsv(
+    simt::Exchanger& exchanger, const CommTable& table,
+    const tensor::SymTensor3& a, std::span<const std::vector<double>> x,
     simt::Transport transport,
     simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered);
 

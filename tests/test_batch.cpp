@@ -9,7 +9,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "apps/cp_gradient.hpp"
@@ -176,41 +178,30 @@ TEST(Plan, KeyComputesProcessorCount) {
 TEST(Plan, ExchangeWalkIsConsistent) {
   const auto plan = Plan::build(plan_key(53, Family::kSpherical, 2,
                                          simt::Transport::kPointToPoint));
-  const std::size_t P = plan->num_processors();
-  for (std::size_t p = 0; p < P; ++p) {
-    std::size_t prev_peer = 0;
-    bool first = true;
-    for (const Plan::PeerExchange& ex : plan->exchanges(p)) {
-      if (!first) {
-        EXPECT_GT(ex.peer, prev_peer) << "peers ascending";
-      }
-      first = false;
-      prev_peer = ex.peer;
-      EXPECT_NE(ex.peer, p);
-
-      std::size_t x_words = 0;
-      std::size_t y_words = 0;
-      std::size_t prev_block = 0;
-      bool first_slice = true;
-      for (const Plan::BlockSlice& s : ex.slices) {
-        if (!first_slice) {
-          EXPECT_GT(s.block, prev_block);
-        }
-        first_slice = false;
-        prev_block = s.block;
-        x_words += s.sender.length;
-        y_words += s.receiver.length;
-      }
-      EXPECT_EQ(ex.x_words, x_words);
-      EXPECT_EQ(ex.y_words, y_words);
-
-      // Phase-3 traffic p -> peer carries the peer's shares, i.e. what
-      // the peer sends p in phase 1: the reverse record must agree.
-      const Plan::PeerExchange& rev = plan->exchange_between(ex.peer, p);
-      EXPECT_EQ(ex.y_words, rev.x_words);
-      EXPECT_EQ(ex.x_words, rev.y_words);
-      EXPECT_EQ(ex.slices.size(), rev.slices.size());
+  const auto routes = plan->table().routes();
+  ASSERT_FALSE(routes.empty());
+  using Route = core::CommTable::RouteView;
+  std::map<std::pair<std::size_t, std::size_t>, const Route*> by_pair;
+  for (std::size_t k = 0; k < routes.size(); ++k) {
+    const Route& route = routes[k];
+    if (k > 0) {
+      EXPECT_LT(std::pair(routes[k - 1].from, routes[k - 1].to),
+                std::pair(route.from, route.to))
+          << "routes ascending";
     }
+    EXPECT_NE(route.from, route.to);
+    std::size_t x_words = 0;
+    for (const core::CommTable::Segment& s : route.x) x_words += s.len;
+    EXPECT_EQ(route.x_words, x_words);
+    by_pair[{route.from, route.to}] = &route;
+  }
+  // Phase-3 traffic from -> to carries the receiver's shares, i.e. what
+  // the receiver sends back in phase 1: the reverse route must agree.
+  for (const Route& route : routes) {
+    const auto rev = by_pair.find({route.to, route.from});
+    ASSERT_NE(rev, by_pair.end()) << route.from << " -> " << route.to;
+    EXPECT_EQ(route.x_words, rev->second->y_words);
+    EXPECT_EQ(route.y_words, rev->second->x_words);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "core/block_kernels.hpp"
@@ -48,6 +49,10 @@ struct TilingCase {
   std::size_t m;
   std::size_t b;
 };
+
+void PrintTo(const TilingCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_m" << c.m << "_b" << c.b;
+}
 
 class BlockKernelTiling : public ::testing::TestWithParam<TilingCase> {};
 

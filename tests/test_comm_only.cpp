@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/comm_only.hpp"
 #include "core/parallel_sttsv.hpp"
 #include "partition/tetra_partition.hpp"
@@ -39,6 +41,11 @@ struct Case {
   std::size_t n;
   simt::Transport transport;
 };
+
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "q" << c.q << "_n" << c.n << "_"
+      << (c.transport == simt::Transport::kAllToAll ? "a2a" : "p2p");
+}
 
 class CommOnlyEquivalence : public ::testing::TestWithParam<Case> {};
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -262,6 +263,82 @@ TEST(ParallelSttsv, ReusedCommTableMatchesPerCallRunsBitwise) {
           EXPECT_EQ(ledger_counters(reused_machine),
                     ledger_counters(per_call_machine))
               << "call " << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelSttsv, LanesMatchFlatDirectAtEveryPlacement) {
+  // One parallel_sttsv pass runs B lanes: every lane is the flat-Direct
+  // single-vector run bit for bit, and B lanes move B × the words of one
+  // vector in the same messages and rounds, at the identity and a shrunk
+  // placement.
+  const std::size_t n = 61;
+  Fixture s = make_setup(steiner::spherical_system(2), n, 45);
+  const std::size_t P = s.part().num_processors();
+  Rng rng(46);
+  std::vector<std::vector<double>> xs;
+  std::vector<std::vector<double>> flat_y;
+  for (int v = 0; v < 16; ++v) {
+    xs.push_back(rng.uniform_vector(n));
+    simt::Machine flat(P);
+    flat_y.push_back(parallel_sttsv(flat, s.part(), s.dist(), s.a, xs.back(),
+                                    simt::Transport::kPointToPoint)
+                         .y);
+  }
+  const std::vector<std::uint32_t> node_of =
+      hier::compose_assignment(s.part(), s.dist(), 2).node_of;
+  const std::vector<std::size_t> shrunk =
+      elastic::BlockAssignment::identity(P).shrink({2, 5}).hosts();
+  constexpr simt::Channel kPayload[] = {simt::Channel::kGoodput,
+                                        simt::Channel::kOneSided};
+
+  for (const std::vector<std::size_t>& placement :
+       {std::vector<std::size_t>{}, shrunk}) {
+    const CommTable table(s.part(), s.dist(), placement);
+    for (const auto kind :
+         {simt::TransportKind::kDirect, simt::TransportKind::kReliable,
+          simt::TransportKind::kOneSidedPut,
+          simt::TransportKind::kActiveMessage,
+          simt::TransportKind::kHierarchical}) {
+      simt::ExchangerConfig config;
+      config.kind = kind;
+      if (kind == simt::TransportKind::kHierarchical) config.node_of = node_of;
+      for (const auto mode : {simt::PipelineMode::kSerialized,
+                              simt::PipelineMode::kDoubleBuffered}) {
+        const auto run = [&](std::size_t lanes, simt::Machine& machine) {
+          const auto exchanger = simt::make_exchanger(machine, config);
+          return parallel_sttsv(
+              *exchanger, table, s.a,
+              std::span<const std::vector<double>>(xs.data(), lanes),
+              simt::Transport::kPointToPoint, mode);
+        };
+        simt::Machine one(P);
+        (void)run(1, one);
+        for (const std::size_t lanes : {1u, 3u, 16u}) {
+          SCOPED_TRACE(std::string(simt::transport_kind_name(kind)) +
+                       (placement.empty() ? " identity" : " shrunk") +
+                       (mode == simt::PipelineMode::kSerialized
+                            ? " serialized"
+                            : " double-buffered") +
+                       " B=" + std::to_string(lanes));
+          simt::Machine machine(P);
+          const BatchRunResult got = run(lanes, machine);
+          ASSERT_EQ(got.y.size(), lanes);
+          for (std::size_t v = 0; v < lanes; ++v) {
+            EXPECT_TRUE(bitwise_equal(got.y[v], flat_y[v])) << "lane " << v;
+          }
+          const simt::CommLedger& want = one.ledger();
+          const simt::CommLedger& have = machine.ledger();
+          for (const simt::Channel c : kPayload) {
+            EXPECT_EQ(have.total_words(c), lanes * want.total_words(c))
+                << simt::channel_name(c);
+            EXPECT_EQ(have.total_messages(c), want.total_messages(c))
+                << simt::channel_name(c);
+            EXPECT_EQ(have.rounds(c), want.rounds(c))
+                << simt::channel_name(c);
+          }
         }
       }
     }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "core/sttv_d.hpp"
@@ -30,6 +31,10 @@ struct OrderCase {
   std::size_t n;
   std::size_t d;
 };
+
+void PrintTo(const OrderCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_d" << c.d;
+}
 
 class PackedIndexBijective : public ::testing::TestWithParam<OrderCase> {};
 

@@ -13,8 +13,10 @@
 // Every command exits 0 on success and 1 on failure or bad usage.
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -74,8 +76,10 @@ steiner::SteinerSystem system_from_args(const ArgParser& args) {
     return steiner::spherical_system(args.get_u64("q"));
   }
   if (args.has("k")) {
-    return steiner::boolean_quadruple_system(
-        static_cast<unsigned>(args.get_u64("k")));
+    const std::uint64_t k = args.get_u64("k");
+    STTSV_REQUIRE(k <= std::numeric_limits<unsigned>::max(),
+                  "--k out of range");
+    return steiner::boolean_quadruple_system(static_cast<unsigned>(k));
   }
   return steiner::trivial_triple_system(args.get_u64("m"));
 }
