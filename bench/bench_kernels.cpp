@@ -213,11 +213,9 @@ struct ClassTiming {
   std::size_t blocks = 0;
   std::uint64_t entries = 0;
   std::uint64_t mults = 0;
-  std::uint64_t compressed_mults = 0;  // 0 when not measured
   double seed_s = 0.0;
-  double spec_s = 0.0;        // current kernel options (ISA + tuning)
-  double scalar_s = 0.0;      // same options pinned to the scalar ISA
-  double compressed_s = 0.0;  // interior only; 0 elsewhere
+  double spec_s = 0.0;    // current kernel options (ISA + tuning)
+  double scalar_s = 0.0;  // same options pinned to the scalar ISA
 };
 
 /// Applies `kernel` once to every block of `blocks` (the usual padded
@@ -319,33 +317,6 @@ std::vector<ClassTiming> sweep_block_classes(std::size_t n) {
     t.scalar_s = time_per_rep([&] {
       return time_class_once(scalar_kernel, a, blocks, b, x_pad, y_pad);
     });
-    if (t.cls == "interior") {
-      // Opt-in symmetry-compressed bilinear math (DESIGN.md §13.4) —
-      // reassociating, so it is benchmarked but never the default.
-      core::KernelOptions comp_opts = core::kernel_options();
-      comp_opts.math = core::KernelMath::kCompressed;
-      const auto comp_kernel = [&](const tensor::SymTensor3& ten,
-                                   const partition::BlockCoord& c,
-                                   std::size_t bb,
-                                   const core::BlockBuffers& buf) {
-        return core::apply_block_ex(ten, c, bb, buf, comp_opts);
-      };
-      std::fill(y_pad.begin(), y_pad.end(), 0.0);
-      for (const auto& c : blocks) {
-        core::BlockBuffers buf;
-        buf.x[0] = x_pad.data() + c.i * b;
-        buf.x[1] = x_pad.data() + c.j * b;
-        buf.x[2] = x_pad.data() + c.k * b;
-        buf.y[0] = y_pad.data() + c.i * b;
-        buf.y[1] = y_pad.data() + c.j * b;
-        buf.y[2] = y_pad.data() + c.k * b;
-        t.compressed_mults += comp_kernel(a, c, b, buf);
-      }
-      std::fill(y_pad.begin(), y_pad.end(), 0.0);
-      t.compressed_s = time_per_rep([&] {
-        return time_class_once(comp_kernel, a, blocks, b, x_pad, y_pad);
-      });
-    }
     out.push_back(t);
   }
   return out;
@@ -458,10 +429,6 @@ void write_json(const char* path, bool tuned, bool quick) {
       w.field("specialized_gbytes_per_s", bytes / t.spec_s / 1e9);
       w.field("speedup", t.seed_s / t.spec_s);
       w.field("simd_speedup", t.scalar_s / t.spec_s);
-      if (t.compressed_s > 0.0) {
-        w.field("compressed_seconds", t.compressed_s);
-        w.field("compressed_ternary_mults", t.compressed_mults);
-      }
       w.end_object();
     }
   }

@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
       }
       const bool words_exact =
           out.redistribution_words == planned &&
-          machine.ledger().total_recovery_words() == planned;
+          machine.ledger().total_words(simt::Channel::kRecovery) == planned;
       if (words_exact) ++pt.seeds_words_exact;
       check.check(machine.num_alive() == P - f,
                   "f=" + std::to_string(f) + " seed " + std::to_string(seed) +

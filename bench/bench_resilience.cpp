@@ -165,8 +165,8 @@ int main(int argc, char** argv) {
       pt.duplicate_frames_ignored += rex.stats().duplicate_frames_ignored;
       pt.corrupt_frames_detected += rex.stats().corrupt_frames_detected;
       pt.goodput_words = machine.ledger().total_words();
-      overhead_sum += machine.ledger().total_overhead_words();
-      overhead_rounds_sum += machine.ledger().overhead_rounds();
+      overhead_sum += machine.ledger().total_words(simt::Channel::kOverhead);
+      overhead_rounds_sum += machine.ledger().rounds(simt::Channel::kOverhead);
     }
     pt.overhead_words = overhead_sum / num_seeds;
     pt.overhead_rounds = overhead_rounds_sum / num_seeds;
@@ -276,7 +276,7 @@ int main(int argc, char** argv) {
                         std::to_string(seed) + ": bitwise recovery");
         machine.ledger().verify_conservation();
         kp.faults_injected += injector.log().size();
-        overhead_sum += machine.ledger().total_overhead_words();
+        overhead_sum += machine.ledger().total_words(simt::Channel::kOverhead);
       }
       kp.mean_overhead_words = overhead_sum / kind_seeds;
       kinds.push_back(kp);
@@ -314,8 +314,8 @@ int main(int argc, char** argv) {
       machine.ledger().verify_conservation();
       crash.faults_injected += injector.log().size();
       crash.shrinks += out.shrinks;
-      overhead_sum += machine.ledger().total_overhead_words();
-      recovery_sum += machine.ledger().total_recovery_words();
+      overhead_sum += machine.ledger().total_words(simt::Channel::kOverhead);
+      recovery_sum += machine.ledger().total_words(simt::Channel::kRecovery);
       detection_sum += out.detection_attempts;
     }
     crash.mean_overhead_words = overhead_sum / kind_seeds;

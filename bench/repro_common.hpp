@@ -87,24 +87,17 @@ inline void write_ledger_channels(JsonWriter& w,
   w.field("total_words", ledger.total_words());
   w.field("total_messages", ledger.total_messages());
   w.field("rounds", ledger.rounds());
-  w.field("max_overhead_words_sent", ledger.max_overhead_words_sent());
-  w.field("max_overhead_words_received",
-          ledger.max_overhead_words_received());
-  w.field("total_overhead_words", ledger.total_overhead_words());
-  w.field("overhead_messages", ledger.overhead_messages());
-  w.field("overhead_rounds", ledger.overhead_rounds());
-  w.field("max_recovery_words_sent", ledger.max_recovery_words_sent());
-  w.field("max_recovery_words_received",
-          ledger.max_recovery_words_received());
-  w.field("total_recovery_words", ledger.total_recovery_words());
-  w.field("recovery_messages", ledger.recovery_messages());
-  w.field("recovery_rounds", ledger.recovery_rounds());
-  w.field("max_onesided_words_sent", ledger.max_onesided_words_sent());
-  w.field("max_onesided_words_received",
-          ledger.max_onesided_words_received());
-  w.field("total_onesided_words", ledger.total_onesided_words());
-  w.field("onesided_messages", ledger.onesided_messages());
-  w.field("onesided_rounds", ledger.onesided_rounds());
+  for (const simt::Channel c : {simt::Channel::kOverhead,
+                                simt::Channel::kRecovery,
+                                simt::Channel::kOneSided}) {
+    const std::string ch = simt::channel_name(c);
+    w.field(("max_" + ch + "_words_sent").c_str(), ledger.max_words_sent(c));
+    w.field(("max_" + ch + "_words_received").c_str(),
+            ledger.max_words_received(c));
+    w.field(("total_" + ch + "_words").c_str(), ledger.total_words(c));
+    w.field((ch + "_messages").c_str(), ledger.total_messages(c));
+    w.field((ch + "_rounds").c_str(), ledger.rounds(c));
+  }
   w.field("sync_ops", ledger.sync_ops());
   // Per-level split (DESIGN.md §17): zero for a flat machine (everything
   // lands intra when no node map is installed).
@@ -142,14 +135,17 @@ struct LedgerRollup {
 inline LedgerRollup ledger_rollup(const simt::CommLedger& led,
                                   bool onesided_alpha) {
   LedgerRollup r;
-  r.payload_words = led.total_words() + led.total_onesided_words();
-  r.overhead_words = led.total_overhead_words();
+  r.payload_words =
+      led.total_words() + led.total_words(simt::Channel::kOneSided);
+  r.overhead_words = led.total_words(simt::Channel::kOverhead);
   r.sync_ops = led.sync_ops();
   r.messages = onesided_alpha
                    ? led.sync_ops()
-                   : led.total_messages() + led.overhead_messages();
-  r.rounds = led.rounds(simt::Channel::kGoodput) + led.overhead_rounds() +
-             led.onesided_rounds();
+                   : led.total_messages() +
+                         led.total_messages(simt::Channel::kOverhead);
+  r.rounds = led.rounds(simt::Channel::kGoodput) +
+             led.rounds(simt::Channel::kOverhead) +
+             led.rounds(simt::Channel::kOneSided);
   r.intra_words = led.total_payload_words(simt::Level::kIntra);
   r.inter_words = led.total_payload_words(simt::Level::kInter);
   r.intra_sync_ops = led.sync_ops(simt::Level::kIntra);

@@ -16,10 +16,17 @@ std::size_t family_processor_count(Family family, std::uint64_t param) {
     case Family::kSpherical:
       return static_cast<std::size_t>(param * (param * param + 1));
     case Family::kBoolean: {
+      // The limits of steiner::boolean_quadruple_system, checked before
+      // the shift (1 << k is undefined for k >= 64).
+      STTSV_REQUIRE(param >= 3 && param <= 12,
+                    "boolean quadruple system needs 3 <= k <= 12");
       const std::uint64_t m = 1ULL << param;
       return static_cast<std::size_t>(m * (m - 1) * (m - 2) / 24);
     }
     case Family::kTrivial:
+      // The limits of steiner::trivial_triple_system.
+      STTSV_REQUIRE(param >= 4 && param <= 512,
+                    "trivial triple system needs 4 <= m <= 512");
       return static_cast<std::size_t>(param * (param - 1) * (param - 2) / 6);
   }
   STTSV_CHECK(false, "unknown Steiner family");
@@ -129,10 +136,13 @@ std::size_t Plan::local_index(std::size_t p, std::size_t i) const {
 
 std::shared_ptr<const Plan> Plan::build(const PlanKey& key) {
   STTSV_REQUIRE(key.n >= 1, "plan needs a positive dimension");
+  // Also range-checks a hand-built key's param before build_system
+  // narrows it.
+  STTSV_REQUIRE(
+      key.processors == family_processor_count(key.family, key.param),
+      "plan key processor count does not match the family");
   auto part = std::make_unique<partition::TetraPartition>(
       partition::TetraPartition::build(build_system(key)));
-  STTSV_REQUIRE(key.processors == part->num_processors(),
-                "plan key processor count does not match the family");
   auto dist =
       std::make_unique<partition::VectorDistribution>(*part, key.n);
   return std::shared_ptr<const Plan>(

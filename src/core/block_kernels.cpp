@@ -44,7 +44,6 @@ std::size_t rj_index(std::uint8_t rj) { return rj == 4 ? 2 : (rj == 2 ? 1 : 0); 
 
 std::uint32_t encode(const KernelOptions& o) {
   return static_cast<std::uint32_t>(o.isa) |
-         (static_cast<std::uint32_t>(o.math) << 8) |
          (static_cast<std::uint32_t>(o.rj_interior) << 16) |
          (static_cast<std::uint32_t>(o.rj_face_ij) << 24);
 }
@@ -52,7 +51,6 @@ std::uint32_t encode(const KernelOptions& o) {
 KernelOptions decode(std::uint32_t bits) {
   KernelOptions o;
   o.isa = static_cast<simt::KernelIsa>(bits & 0xff);
-  o.math = static_cast<KernelMath>((bits >> 8) & 0xff);
   o.rj_interior = static_cast<std::uint8_t>((bits >> 16) & 0xff);
   o.rj_face_ij = static_cast<std::uint8_t>((bits >> 24) & 0xff);
   return o;
@@ -63,11 +61,6 @@ std::atomic<std::uint32_t>& options_cell() {
   // (which reads the STTSV_SIMD environment switch).
   static std::atomic<std::uint32_t> cell{encode(KernelOptions{})};
   return cell;
-}
-
-detail::CompressedScratch& compressed_scratch() {
-  thread_local detail::CompressedScratch scr;
-  return scr;
 }
 
 }  // namespace
@@ -195,15 +188,9 @@ std::uint64_t apply_block_ex(const tensor::SymTensor3& a,
   const KernelVTable& vt = vtable_for(opts.isa);
   std::uint64_t mults = 0;
   if (c.i > c.j && c.j > c.k) {
-    if (opts.math == KernelMath::kCompressed) {
-      mults = vt.interior_compressed(a.data(), i0, i_end, j0, j_end, k0, k_end,
-                                     buf.x[0], buf.x[1], buf.x[2], buf.y[0],
-                                     buf.y[1], buf.y[2], compressed_scratch());
-    } else {
-      mults = vt.interior[rj_index(opts.rj_interior)](
-          a.data(), i0, i_end, j0, j_end, k0, k_end, buf.x[0], buf.x[1],
-          buf.x[2], buf.y[0], buf.y[1], buf.y[2]);
-    }
+    mults = vt.interior[rj_index(opts.rj_interior)](
+        a.data(), i0, i_end, j0, j_end, k0, k_end, buf.x[0], buf.x[1],
+        buf.x[2], buf.y[0], buf.y[1], buf.y[2]);
   } else if (c.i == c.j && c.j > c.k) {
     // Slots 0 and 1 view the same row block (aliased by contract).
     mults = vt.face_ij[rj_index(opts.rj_face_ij)](a.data(), i0, i_end, k0,

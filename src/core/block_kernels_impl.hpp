@@ -21,30 +21,10 @@
 //     rounded add per element, applied in ascending j order for every
 //     element — register-blocking j (RJ > 1) keeps the y chunk in a
 //     register but applies the same per-element add sequence;
-//   * no FMA contraction anywhere on this path (V::fmadd is reserved for
-//     the compressed-math kernels below).
-//
-// §13.4 Compressed bilinear math (opt-in, interior blocks). The
-// symmetry-compressed formulation of Solomonik–Demmel–Hoefler (arXiv
-// 1707.04618) forms one bilinear product per packed entry,
-// p = a_ijk·(x_i+x_j+x_k)², instead of three ternary products, and
-// recovers the three y contributions from p plus lower-order correction
-// contractions of the adds-only marginals Σ_k a, Σ_j a, Σ_i a. Exact
-// multiplicative-operation count for a bi×bj×bk interior block
-// (checked by tests/test_simd_kernels.cpp):
-//
-//   bi·bj·bk  +  4(bi·bj + bi·bk + bj·bk)  +  3(bi + bj + bk)
-//
-// versus 3·bi·bj·bk for the standard kernels — the leading term drops
-// 3×, paid for with ~6 extra adds per entry. Compressed results are
-// *documented as reassociating*: they match the reference only to
-// rounding (O(b²·ε) cancellation in the corrections), may use FMA, and
-// are therefore gated off by default (KernelMath::kStandard) so the
-// repo-wide bitwise-y invariant holds in default builds.
+//   * no FMA contraction anywhere on this path.
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "simt/simd.hpp"
 
@@ -58,30 +38,6 @@ namespace sttsv::core::detail {
 inline std::size_t packed_row_base(std::size_t gi, std::size_t gj) {
   return gi * (gi + 1) * (gi + 2) / 6 + gj * (gj + 1) / 2;
 }
-
-/// Scratch for the compressed kernels: adds-only marginal matrices and
-/// per-fiber product sums. Heap-backed (thread_local in the dispatcher);
-/// the compressed path is opt-in and not bound by the steady-state
-/// no-allocation guarantee of the default path (DESIGN.md §12).
-struct CompressedScratch {
-  std::vector<double> sig;  // bi×bj: Σ_k a
-  std::vector<double> tau;  // bi×bk: Σ_j a
-  std::vector<double> rho;  // bj×bk: Σ_i a
-  std::vector<double> pj;   // bj: Σ_{i,k} p
-  std::vector<double> pk;   // bk: Σ_{i,j} p
-  std::vector<double> x2i, x2j, x2k;
-
-  void ensure(std::size_t bi, std::size_t bj, std::size_t bk) {
-    sig.assign(bi * bj, 0.0);
-    tau.assign(bi * bk, 0.0);
-    rho.assign(bj * bk, 0.0);
-    pj.assign(bj, 0.0);
-    pk.assign(bk, 0.0);
-    x2i.resize(bi);
-    x2j.resize(bj);
-    x2k.resize(bk);
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Canonical row primitives.
@@ -146,7 +102,7 @@ inline void face_jk_row(const double* STTSV_RESTRICT row, std::size_t lj,
 }
 
 // ---------------------------------------------------------------------------
-// Class kernels (standard math).
+// Class kernels.
 // ---------------------------------------------------------------------------
 
 /// Interior block c.i > c.j > c.k: every element strict, 3 updates.
@@ -336,154 +292,6 @@ std::uint64_t central_kernel(const double* STTSV_RESTRICT data,
 }
 
 // ---------------------------------------------------------------------------
-// Compressed bilinear kernel (interior blocks only; see header comment).
-// ---------------------------------------------------------------------------
-
-template <class V>
-std::uint64_t interior_compressed_kernel(
-    const double* STTSV_RESTRICT data, std::size_t i0, std::size_t i_end,
-    std::size_t j0, std::size_t j_end, std::size_t k0, std::size_t k_end,
-    const double* STTSV_RESTRICT xi, const double* STTSV_RESTRICT xj,
-    const double* STTSV_RESTRICT xk, double* STTSV_RESTRICT yi,
-    double* STTSV_RESTRICT yj, double* STTSV_RESTRICT yk,
-    CompressedScratch& scr) {
-  const std::size_t bi = i_end - i0;
-  const std::size_t bj = j_end - j0;
-  const std::size_t bk = k_end - k0;
-  scr.ensure(bi, bj, bk);
-  for (std::size_t li = 0; li < bi; ++li) scr.x2i[li] = xi[li] * xi[li];
-  for (std::size_t lj = 0; lj < bj; ++lj) scr.x2j[lj] = xj[lj] * xj[lj];
-  for (std::size_t lk = 0; lk < bk; ++lk) scr.x2k[lk] = xk[lk] * xk[lk];
-
-  // Pass 1: one bilinear product p = a·(x_i+x_j+x_k)² per entry,
-  // scattered to the three per-fiber product sums, plus the adds-only
-  // marginals σ = Σ_k a, τ = Σ_j a, ρ = Σ_i a.
-  for (std::size_t gi = i0; gi < i_end; ++gi) {
-    const std::size_t li = gi - i0;
-    const double xiv = xi[li];
-    const std::size_t gi_base = gi * (gi + 1) * (gi + 2) / 6;
-    double* STTSV_RESTRICT sig_row = scr.sig.data() + li * bj;
-    double* STTSV_RESTRICT tau_row = scr.tau.data() + li * bk;
-    double pi_acc = 0.0;
-    for (std::size_t gj = j0; gj < j_end; ++gj) {
-      const std::size_t lj = gj - j0;
-      const double zij = xiv + xj[lj];
-      const double* STTSV_RESTRICT row =
-          data + gi_base + gj * (gj + 1) / 2 + k0;
-      double* STTSV_RESTRICT rho_row = scr.rho.data() + lj * bk;
-      double* STTSV_RESTRICT pk_sum = scr.pk.data();
-      const V zijv = V::broadcast(zij);
-      V psum = V::zero();
-      V vsum = V::zero();
-      std::size_t lk = 0;
-      for (; lk + simt::simd::kLanes <= bk; lk += simt::simd::kLanes) {
-        const V vv = V::load(row + lk);
-        const V zv = zijv + V::load(xk + lk);
-        const V pv = vv * (zv * zv);
-        psum = psum + pv;
-        vsum = vsum + vv;
-        (V::load(pk_sum + lk) + pv).store(pk_sum + lk);
-        (V::load(tau_row + lk) + vv).store(tau_row + lk);
-        (V::load(rho_row + lk) + vv).store(rho_row + lk);
-      }
-      double psum_s = psum.reduce();
-      double vsum_s = vsum.reduce();
-      for (; lk < bk; ++lk) {
-        const double v = row[lk];
-        const double z = zij + xk[lk];
-        const double p = v * (z * z);
-        psum_s += p;
-        vsum_s += v;
-        pk_sum[lk] += p;
-        tau_row[lk] += v;
-        rho_row[lk] += v;
-      }
-      pi_acc += psum_s;
-      scr.pj[lj] += psum_s;
-      sig_row[lj] = vsum_s;
-    }
-    // Finalize y_i: 2x_jx_k = z² − (x_j²+x_k²) − x_i² − 2x_i(x_j+x_k).
-    V sv = V::zero();
-    V qv = V::zero();
-    V rv = V::zero();
-    std::size_t lj = 0;
-    for (; lj + simt::simd::kLanes <= bj; lj += simt::simd::kLanes) {
-      const V sgv = V::load(sig_row + lj);
-      sv = sv + sgv;
-      qv = V::fmadd(V::load(scr.x2j.data() + lj), sgv, qv);
-      rv = V::fmadd(V::load(xj + lj), sgv, rv);
-    }
-    double s = sv.reduce();
-    double q = qv.reduce();
-    double r = rv.reduce();
-    for (; lj < bj; ++lj) {
-      s += sig_row[lj];
-      q += scr.x2j[lj] * sig_row[lj];
-      r += xj[lj] * sig_row[lj];
-    }
-    V q2v = V::zero();
-    V r2v = V::zero();
-    std::size_t lk = 0;
-    for (; lk + simt::simd::kLanes <= bk; lk += simt::simd::kLanes) {
-      const V tv = V::load(tau_row + lk);
-      q2v = V::fmadd(V::load(scr.x2k.data() + lk), tv, q2v);
-      r2v = V::fmadd(V::load(xk + lk), tv, r2v);
-    }
-    q += q2v.reduce();
-    r += r2v.reduce();
-    for (; lk < bk; ++lk) {
-      q += scr.x2k[lk] * tau_row[lk];
-      r += xk[lk] * tau_row[lk];
-    }
-    yi[li] += pi_acc - q - scr.x2i[li] * s - 2.0 * (xiv * r);
-  }
-
-  // Finalize y_j from σ columns and ρ rows.
-  for (std::size_t lj = 0; lj < bj; ++lj) {
-    double s = 0.0;
-    double q = 0.0;
-    double r = 0.0;
-    for (std::size_t li = 0; li < bi; ++li) {
-      const double sg = scr.sig[li * bj + lj];
-      s += sg;
-      q += scr.x2i[li] * sg;
-      r += xi[li] * sg;
-    }
-    const double* STTSV_RESTRICT rho_row = scr.rho.data() + lj * bk;
-    for (std::size_t lk = 0; lk < bk; ++lk) {
-      q += scr.x2k[lk] * rho_row[lk];
-      r += xk[lk] * rho_row[lk];
-    }
-    yj[lj] += scr.pj[lj] - q - scr.x2j[lj] * s - 2.0 * (xj[lj] * r);
-  }
-
-  // Finalize y_k from τ and ρ columns.
-  for (std::size_t lk = 0; lk < bk; ++lk) {
-    double s = 0.0;
-    double q = 0.0;
-    double r = 0.0;
-    for (std::size_t li = 0; li < bi; ++li) {
-      const double tv = scr.tau[li * bk + lk];
-      s += tv;
-      q += scr.x2i[li] * tv;
-      r += xi[li] * tv;
-    }
-    for (std::size_t lj = 0; lj < bj; ++lj) {
-      const double rv = scr.rho[lj * bk + lk];
-      q += scr.x2j[lj] * rv;
-      r += xj[lj] * rv;
-    }
-    yk[lk] += scr.pk[lk] - q - scr.x2k[lk] * s - 2.0 * (xk[lk] * r);
-  }
-
-  const std::uint64_t i64 = bi;
-  const std::uint64_t j64 = bj;
-  const std::uint64_t k64 = bk;
-  return i64 * j64 * k64 + 4 * (i64 * j64 + i64 * k64 + j64 * k64) +
-         3 * (i64 + j64 + k64);
-}
-
-// ---------------------------------------------------------------------------
 // Dispatch table.
 // ---------------------------------------------------------------------------
 
@@ -502,17 +310,10 @@ struct KernelVTable {
                                      const double*, double*, double*);
   using CentralFn = std::uint64_t (*)(const double*, std::size_t, std::size_t,
                                       const double*, double*);
-  using CompressedFn = std::uint64_t (*)(const double*, std::size_t,
-                                         std::size_t, std::size_t, std::size_t,
-                                         std::size_t, std::size_t,
-                                         const double*, const double*,
-                                         const double*, double*, double*,
-                                         double*, CompressedScratch&);
   StrictFn interior[3];
   FaceIjFn face_ij[3];
   FaceJkFn face_jk;
   CentralFn central;
-  CompressedFn interior_compressed;
 };
 
 template <class V>
@@ -526,7 +327,6 @@ KernelVTable make_kernel_vtable() {
   t.face_ij[2] = &face_ij_kernel<V, 4>;
   t.face_jk = &face_jk_kernel<V>;
   t.central = &central_kernel<V>;
-  t.interior_compressed = &interior_compressed_kernel<V>;
   return t;
 }
 

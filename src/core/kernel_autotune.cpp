@@ -63,7 +63,6 @@ CalibrationResult calibrate_kernel_shapes(std::size_t b, double min_seconds) {
 
   KernelOptions opts = kernel_options();
   opts.isa = res.isa;
-  opts.math = KernelMath::kStandard;
 
   constexpr std::uint8_t kShapes[] = {1, 2, 4};
 

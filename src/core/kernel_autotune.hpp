@@ -38,7 +38,7 @@ CalibrationResult calibrate_kernel_shapes(std::size_t b = 64,
                                           double min_seconds = 0.02);
 
 /// calibrate_kernel_shapes + set_kernel_options with the winners
-/// (leaving isa/math untouched). Returns the calibration detail.
+/// (leaving isa untouched). Returns the calibration detail.
 CalibrationResult autotune_kernels(std::size_t b = 64);
 
 }  // namespace sttsv::core

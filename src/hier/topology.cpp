@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "support/check.hpp"
@@ -64,14 +65,21 @@ Topology Topology::parse(std::string_view text, std::size_t num_ranks) {
     if (part.empty()) fail("empty integer");
     for (const char c : part) {
       if (c < '0' || c > '9') fail("non-digit character");
-      value = value * 10 + static_cast<std::size_t>(c - '0');
+      const auto d = static_cast<std::size_t>(c - '0');
+      if (value > (std::numeric_limits<std::size_t>::max() - d) / 10) {
+        fail("integer overflows");
+      }
+      value = value * 10 + d;
     }
     return value;
   };
   const std::size_t nodes = parse_int(text.substr(0, x));
   const std::size_t per_node = parse_int(text.substr(x + 1));
   if (nodes == 0 || per_node == 0) fail("zero dimension");
-  if (nodes * per_node != num_ranks) fail("N*M != num_ranks");
+  // N*M == num_ranks, phrased by division so the product cannot wrap.
+  if (num_ranks % nodes != 0 || num_ranks / nodes != per_node) {
+    fail("N*M != num_ranks");
+  }
   return uniform(num_ranks, nodes);
 }
 

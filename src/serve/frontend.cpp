@@ -163,8 +163,8 @@ void Frontend::run_batch(std::uint64_t start_ns) {
   // Ledger baseline for per-tenant attribution of this batch's delta.
   const simt::CommLedger& ledger = machine_.ledger();
   const std::uint64_t words0 = ledger.total_words();
-  const std::uint64_t overhead0 = ledger.total_overhead_words();
-  const std::uint64_t onesided0 = ledger.total_onesided_words();
+  const std::uint64_t overhead0 = ledger.total_words(simt::Channel::kOverhead);
+  const std::uint64_t onesided0 = ledger.total_words(simt::Channel::kOneSided);
   const std::uint64_t messages0 = ledger.total_messages();
   const std::uint64_t rounds0 = ledger.rounds();
 
@@ -198,8 +198,10 @@ void Frontend::run_batch(std::uint64_t start_ns) {
   } catch (const simt::FaultError&) {
     const simt::CommLedger& led = machine_.ledger();
     const std::uint64_t dw = led.total_words() - words0;
-    const std::uint64_t doh = led.total_overhead_words() - overhead0;
-    const std::uint64_t dos = led.total_onesided_words() - onesided0;
+    const std::uint64_t doh =
+        led.total_words(simt::Channel::kOverhead) - overhead0;
+    const std::uint64_t dos =
+        led.total_words(simt::Channel::kOneSided) - onesided0;
     const std::uint64_t dm = led.total_messages() - messages0;
     const std::uint64_t dr = led.rounds() - rounds0;
     for (std::size_t v = 0; v < B; ++v) {
@@ -227,9 +229,9 @@ void Frontend::run_batch(std::uint64_t start_ns) {
 
   const std::uint64_t delta_words = ledger.total_words() - words0;
   const std::uint64_t delta_overhead =
-      ledger.total_overhead_words() - overhead0;
+      ledger.total_words(simt::Channel::kOverhead) - overhead0;
   const std::uint64_t delta_onesided =
-      ledger.total_onesided_words() - onesided0;
+      ledger.total_words(simt::Channel::kOneSided) - onesided0;
   const std::uint64_t delta_messages = ledger.total_messages() - messages0;
   const std::uint64_t delta_rounds = ledger.rounds() - rounds0;
 

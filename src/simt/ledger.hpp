@@ -150,40 +150,8 @@ class CommLedger {
     add_rounds(channel, default_level(), k);
   }
 
-  // Named per-channel entry points, kept for the existing call sites.
-  void record_message(std::size_t from, std::size_t to, std::size_t words) {
-    record(Channel::kGoodput, from, to, words);
-  }
-
-  /// Records protocol-overhead words from -> to (framing, ACKs,
-  /// retransmissions, duplicates). Kept out of the goodput counters so
-  /// the Theorem 5.2 check stays phrased on goodput alone.
-  void record_overhead(std::size_t from, std::size_t to, std::size_t words) {
-    record(Channel::kOverhead, from, to, words);
-  }
-
-  /// Records rank-loss redistribution words from -> to (x-share slices
-  /// re-homed onto survivors, DESIGN.md §15).
-  void record_recovery(std::size_t from, std::size_t to, std::size_t words) {
-    record(Channel::kRecovery, from, to, words);
-  }
-
-  /// Records a one-sided Put of `words` payload words landing directly in
-  /// `to`'s registered segment (DESIGN.md §16).
-  void record_onesided(std::size_t from, std::size_t to, std::size_t words) {
-    record(Channel::kOneSided, from, to, words);
-  }
-
+  /// Goodput shorthand: k rounds on the Theorem 5.2 channel.
   void add_rounds(std::size_t k) { add_rounds(Channel::kGoodput, k); }
-  void add_overhead_rounds(std::size_t k) {
-    add_rounds(Channel::kOverhead, k);
-  }
-  void add_recovery_rounds(std::size_t k) {
-    add_rounds(Channel::kRecovery, k);
-  }
-  void add_onesided_rounds(std::size_t k) {
-    add_rounds(Channel::kOneSided, k);
-  }
 
   /// Counts k one-sided synchronization operations at the given level:
   /// epoch fences issued by origins and exposure notifications observed
@@ -236,6 +204,9 @@ class CommLedger {
   /// compares against the composed partition's closed-form prediction.
   [[nodiscard]] std::uint64_t total_payload_words(Level level) const;
 
+  /// All channel maxima in one reduction — the set every run result reports.
+  [[nodiscard]] LedgerMaxima maxima() const;
+
   // Goodput shorthands (the Theorem 5.2 quantities).
   [[nodiscard]] std::uint64_t words_sent(std::size_t rank) const {
     return words_sent(Channel::kGoodput, rank);
@@ -245,24 +216,6 @@ class CommLedger {
   }
   [[nodiscard]] std::uint64_t messages_sent(std::size_t rank) const;
   [[nodiscard]] std::uint64_t messages_received(std::size_t rank) const;
-  [[nodiscard]] std::uint64_t overhead_words_sent(std::size_t rank) const {
-    return words_sent(Channel::kOverhead, rank);
-  }
-  [[nodiscard]] std::uint64_t overhead_words_received(std::size_t rank) const {
-    return words_received(Channel::kOverhead, rank);
-  }
-  [[nodiscard]] std::uint64_t recovery_words_sent(std::size_t rank) const {
-    return words_sent(Channel::kRecovery, rank);
-  }
-  [[nodiscard]] std::uint64_t recovery_words_received(std::size_t rank) const {
-    return words_received(Channel::kRecovery, rank);
-  }
-  [[nodiscard]] std::uint64_t onesided_words_sent(std::size_t rank) const {
-    return words_sent(Channel::kOneSided, rank);
-  }
-  [[nodiscard]] std::uint64_t onesided_words_received(std::size_t rank) const {
-    return words_received(Channel::kOneSided, rank);
-  }
 
   /// max_p (words sent by p + nothing else): the paper's "number of words
   /// sent or received by any processor" uses max over ranks of send (==
@@ -273,62 +226,14 @@ class CommLedger {
   [[nodiscard]] std::uint64_t max_words_received() const {
     return max_words_received(Channel::kGoodput);
   }
-  [[nodiscard]] std::uint64_t max_overhead_words_sent() const {
-    return max_words_sent(Channel::kOverhead);
-  }
-  [[nodiscard]] std::uint64_t max_overhead_words_received() const {
-    return max_words_received(Channel::kOverhead);
-  }
-  [[nodiscard]] std::uint64_t max_recovery_words_sent() const {
-    return max_words_sent(Channel::kRecovery);
-  }
-  [[nodiscard]] std::uint64_t max_recovery_words_received() const {
-    return max_words_received(Channel::kRecovery);
-  }
-  [[nodiscard]] std::uint64_t max_onesided_words_sent() const {
-    return max_words_sent(Channel::kOneSided);
-  }
-  [[nodiscard]] std::uint64_t max_onesided_words_received() const {
-    return max_words_received(Channel::kOneSided);
-  }
-
-  /// All channel maxima in one reduction — the set every run result reports.
-  [[nodiscard]] LedgerMaxima maxima() const;
   [[nodiscard]] std::uint64_t total_words() const {
     return total_words(Channel::kGoodput);
   }
   [[nodiscard]] std::uint64_t total_messages() const {
     return total_messages(Channel::kGoodput);
   }
-  [[nodiscard]] std::uint64_t total_overhead_words() const {
-    return total_words(Channel::kOverhead);
-  }
-  [[nodiscard]] std::uint64_t total_recovery_words() const {
-    return total_words(Channel::kRecovery);
-  }
-  [[nodiscard]] std::uint64_t total_onesided_words() const {
-    return total_words(Channel::kOneSided);
-  }
-  [[nodiscard]] std::uint64_t overhead_messages() const {
-    return total_messages(Channel::kOverhead);
-  }
-  [[nodiscard]] std::uint64_t recovery_messages() const {
-    return total_messages(Channel::kRecovery);
-  }
-  [[nodiscard]] std::uint64_t onesided_messages() const {
-    return total_messages(Channel::kOneSided);
-  }
   [[nodiscard]] std::uint64_t rounds() const {
     return rounds(Channel::kGoodput);
-  }
-  [[nodiscard]] std::uint64_t overhead_rounds() const {
-    return rounds(Channel::kOverhead);
-  }
-  [[nodiscard]] std::uint64_t recovery_rounds() const {
-    return rounds(Channel::kRecovery);
-  }
-  [[nodiscard]] std::uint64_t onesided_rounds() const {
-    return rounds(Channel::kOneSided);
   }
   [[nodiscard]] std::uint64_t sync_ops() const {
     return sync_ops_[0] + sync_ops_[1];
@@ -373,10 +278,6 @@ class CommLedger {
   }
   void debug_skew_sent_for_test(std::size_t rank, std::uint64_t words) {
     debug_skew_sent_for_test(Channel::kGoodput, rank, words);
-  }
-  void debug_skew_recovery_sent_for_test(std::size_t rank,
-                                         std::uint64_t words) {
-    debug_skew_sent_for_test(Channel::kRecovery, rank, words);
   }
 
  private:

@@ -117,7 +117,7 @@ std::vector<std::vector<Delivery>> Machine::ExchangeSession::part(
         continue;
       }
       if (env.recovery) {
-        ledger.record_recovery(from, env.to, env.data.size());
+        ledger.record(Channel::kRecovery, from, env.to, env.data.size());
         total_recovery_ += env.data.size();
         max_pair_words_ = std::max(max_pair_words_, env.data.size());
         count_slot(from, env.to);
@@ -126,7 +126,7 @@ std::vector<std::vector<Delivery>> Machine::ExchangeSession::part(
             case FaultInjector::Action::kDrop:
               continue;
             case FaultInjector::Action::kDuplicate:
-              ledger.record_recovery(from, env.to, env.data.size());
+              ledger.record(Channel::kRecovery, from, env.to, env.data.size());
               inboxes[env.to].push_back(Delivery{from, env.data.clone()});
               break;
             case FaultInjector::Action::kDeliver:
@@ -137,9 +137,9 @@ std::vector<std::vector<Delivery>> Machine::ExchangeSession::part(
         continue;
       }
       const std::size_t goodput = env.data.size() - env.overhead_words;
-      if (goodput > 0) ledger.record_message(from, env.to, goodput);
+      if (goodput > 0) ledger.record(Channel::kGoodput, from, env.to, goodput);
       if (env.overhead_words > 0) {
-        ledger.record_overhead(from, env.to, env.overhead_words);
+        ledger.record(Channel::kOverhead, from, env.to, env.overhead_words);
       }
       total_goodput_ += goodput;
       total_overhead_ += env.overhead_words;
@@ -153,7 +153,7 @@ std::vector<std::vector<Delivery>> Machine::ExchangeSession::part(
           case FaultInjector::Action::kDrop:
             continue;  // charged, never delivered
           case FaultInjector::Action::kDuplicate:
-            ledger.record_overhead(from, env.to, env.data.size());
+            ledger.record(Channel::kOverhead, from, env.to, env.data.size());
             inboxes[env.to].push_back(Delivery{from, env.data.clone()});
             break;
           case FaultInjector::Action::kDeliver:

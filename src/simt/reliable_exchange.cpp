@@ -465,7 +465,7 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
       }
       backoff = std::min(backoff, retry_.backoff_cap_rounds);
       obs::Span backoff_span("rex.backoff", obs::Category::kRetry, backoff);
-      machine_.ledger().add_overhead_rounds(backoff);
+      machine_.ledger().add_rounds(Channel::kOverhead, backoff);
       stats_.backoff_rounds += backoff;
     }
     if (attempt == 0) {

@@ -84,8 +84,8 @@ bool simd_enabled() {
 }
 
 KernelIsa preferred_isa() {
-  // FMA is required alongside AVX2: the AVX2 kernel TU is compiled with
-  // -mfma, so its compressed-math kernels emit FMA instructions.
+  // FMA is required alongside AVX2: the AVX2 kernel TUs are compiled with
+  // -mfma, so they may only run on a host that has it.
   if (simd_compiled() && simd_enabled() && cpu_features().avx2 &&
       cpu_features().fma) {
     return KernelIsa::kAvx2;

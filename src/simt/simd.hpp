@@ -19,10 +19,6 @@
 //     IEEE arithmetic per lane and the same combination order, so the two
 //     instantiations produce bitwise-identical results — the repo's
 //     bitwise-`y` invariant holds whichever path the dispatcher picks.
-//     The only deliberately looser operation is fmadd(), which contracts
-//     to a single-rounding FMA on the AVX2 path; it is used exclusively
-//     by the opt-in compressed-math kernels whose results are documented
-//     as reassociating (DESIGN.md §13.4).
 //
 // Both kernel TUs are compiled with -ffp-contract=off so the compiler
 // cannot fuse the mul/add pairs below behind our back and silently break
@@ -117,12 +113,6 @@ struct VecScalar {
     return {{a.v[0] * b.v[0], a.v[1] * b.v[1], a.v[2] * b.v[2],
              a.v[3] * b.v[3]}};
   }
-  /// a*b + c. On this instantiation: two roundings (mul then add) — the
-  /// TU is compiled with -ffp-contract=off so this can never silently
-  /// become an FMA. Only the compressed-math kernels may call this.
-  static VecScalar fmadd(VecScalar a, VecScalar b, VecScalar c) {
-    return (a * b) + c;
-  }
   /// Canonical horizontal sum: (v0 + v1) + (v2 + v3). Every
   /// instantiation must combine in exactly this order.
   double reduce() const { return (v[0] + v[1]) + (v[2] + v[3]); }
@@ -161,14 +151,6 @@ struct VecAvx2 {
   }
   friend VecAvx2 operator*(VecAvx2 a, VecAvx2 b) {
     return {_mm256_mul_pd(a.v, b.v)};
-  }
-  /// Single-rounding FMA (compressed-math kernels only; see VecScalar).
-  static VecAvx2 fmadd(VecAvx2 a, VecAvx2 b, VecAvx2 c) {
-#ifdef __FMA__
-    return {_mm256_fmadd_pd(a.v, b.v, c.v)};
-#else
-    return (a * b) + c;
-#endif
   }
   /// (v0 + v1) + (v2 + v3), bitwise identical to VecScalar::reduce.
   double reduce() const {

@@ -175,6 +175,29 @@ TEST(Plan, KeyComputesProcessorCount) {
             10u);  // C(5,3)
 }
 
+TEST(Plan, KeyRejectsParametersTheFamilyRejects) {
+  // k = 2^32 + 3 would shift 1ULL by more than 63 bits.
+  for (const std::uint64_t k : {std::uint64_t{2}, std::uint64_t{13},
+                                std::uint64_t{4294967299}}) {
+    EXPECT_THROW((void)plan_key(48, Family::kBoolean, k,
+                                simt::Transport::kPointToPoint),
+                 PreconditionError)
+        << "k=" << k;
+  }
+  for (const std::uint64_t m : {std::uint64_t{0}, std::uint64_t{1},
+                                std::uint64_t{3}, std::uint64_t{513}}) {
+    EXPECT_THROW((void)plan_key(36, Family::kTrivial, m,
+                                simt::Transport::kPointToPoint),
+                 PreconditionError)
+        << "m=" << m;
+  }
+  // A hand-built key whose param would narrow to k = 3 in the build.
+  PlanKey key = plan_key(48, Family::kBoolean, 3,
+                         simt::Transport::kPointToPoint);
+  key.param = 4294967299;
+  EXPECT_THROW((void)Plan::build(key), PreconditionError);
+}
+
 TEST(Plan, ExchangeWalkIsConsistent) {
   const auto plan = Plan::build(plan_key(53, Family::kSpherical, 2,
                                          simt::Transport::kPointToPoint));

@@ -205,7 +205,7 @@ TEST(Exchange, EmptyOutboxSessionLeavesLedgerUntouched) {
   // A part did run (with nothing in it), so All-to-All still charges its
   // P-1 schedule slots; no words move on any channel.
   EXPECT_EQ(machine.ledger().total_words(), 0u);
-  EXPECT_EQ(machine.ledger().total_overhead_words(), 0u);
+  EXPECT_EQ(machine.ledger().total_words(simt::Channel::kOverhead), 0u);
   EXPECT_EQ(machine.ledger().modeled_collective_words(), 0u);
 }
 
@@ -243,19 +243,21 @@ RunSetup make_setup(std::size_t n, std::uint64_t seed) {
 
 void expect_ledgers_identical(const simt::CommLedger& lhs,
                               const simt::CommLedger& rhs) {
+  constexpr simt::Channel kOverhead = simt::Channel::kOverhead;
   ASSERT_EQ(lhs.num_ranks(), rhs.num_ranks());
   for (std::size_t p = 0; p < lhs.num_ranks(); ++p) {
     EXPECT_EQ(lhs.words_sent(p), rhs.words_sent(p)) << "p=" << p;
     EXPECT_EQ(lhs.words_received(p), rhs.words_received(p)) << "p=" << p;
     EXPECT_EQ(lhs.messages_sent(p), rhs.messages_sent(p)) << "p=" << p;
     EXPECT_EQ(lhs.messages_received(p), rhs.messages_received(p)) << "p=" << p;
-    EXPECT_EQ(lhs.overhead_words_sent(p), rhs.overhead_words_sent(p));
-    EXPECT_EQ(lhs.overhead_words_received(p), rhs.overhead_words_received(p));
+    EXPECT_EQ(lhs.words_sent(kOverhead, p), rhs.words_sent(kOverhead, p));
+    EXPECT_EQ(lhs.words_received(kOverhead, p),
+              rhs.words_received(kOverhead, p));
   }
   EXPECT_EQ(lhs.total_messages(), rhs.total_messages());
-  EXPECT_EQ(lhs.overhead_messages(), rhs.overhead_messages());
+  EXPECT_EQ(lhs.total_messages(kOverhead), rhs.total_messages(kOverhead));
   EXPECT_EQ(lhs.rounds(), rhs.rounds());
-  EXPECT_EQ(lhs.overhead_rounds(), rhs.overhead_rounds());
+  EXPECT_EQ(lhs.rounds(kOverhead), rhs.rounds(kOverhead));
   EXPECT_EQ(lhs.modeled_collective_words(), rhs.modeled_collective_words());
 }
 

@@ -61,7 +61,7 @@ TEST(FailureInjection, ScheduleValidatorCatchesDroppedRound) {
 
 TEST(FailureInjection, LedgerConservationCatchesManualImbalance) {
   simt::CommLedger ledger(3);
-  ledger.record_message(0, 1, 5);
+  ledger.record(simt::Channel::kGoodput, 0, 1, 5);
   ledger.verify_conservation();  // records keep balance by construction
   EXPECT_EQ(ledger.words_sent(0), ledger.words_received(1));
   // Skew one rank's sent counter without a matching receive — the
@@ -103,7 +103,7 @@ TEST(FailureInjection, ExchangeRejectsOverheadExceedingPayload) {
       machine.exchange(std::move(outboxes), simt::Transport::kPointToPoint),
       PreconditionError);
   EXPECT_EQ(machine.ledger().total_words(), 0u);
-  EXPECT_EQ(machine.ledger().total_overhead_words(), 0u);
+  EXPECT_EQ(machine.ledger().total_words(simt::Channel::kOverhead), 0u);
 }
 
 TEST(FailureInjection, ExchangeRejectsWrongOutboxCount) {

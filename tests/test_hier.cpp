@@ -101,6 +101,11 @@ TEST(Topology, ParsesNxMAgainstTheRankCount) {
   EXPECT_THROW((void)Topology::parse("x5", 10), PreconditionError);
   EXPECT_THROW((void)Topology::parse("ten", 10), PreconditionError);
   EXPECT_THROW((void)Topology::parse("2x5x1", 10), PreconditionError);
+  // 2^64 + 2 wraps to 2 and 2 * (2^63 + 5) wraps to 10 in 64-bit size_t.
+  EXPECT_THROW((void)Topology::parse("18446744073709551618x5", 10),
+               PreconditionError);
+  EXPECT_THROW((void)Topology::parse("2x9223372036854775813", 10),
+               PreconditionError);
 }
 
 TEST(Topology, EnvOverrideRoundTrip) {

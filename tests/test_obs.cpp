@@ -213,14 +213,14 @@ TEST(MetricsRegistry, CountersGaugesHistograms) {
 
 TEST(LedgerMetrics, ExportMatchesLedgerExactly) {
   simt::CommLedger ledger(3);
-  ledger.record_message(0, 1, 10);
-  ledger.record_message(1, 2, 4);
-  ledger.record_message(2, 0, 6);
-  ledger.record_message(0, 2, 1);
-  ledger.record_overhead(1, 0, 5);
-  ledger.record_overhead(2, 1, 2);
+  ledger.record(simt::Channel::kGoodput, 0, 1, 10);
+  ledger.record(simt::Channel::kGoodput, 1, 2, 4);
+  ledger.record(simt::Channel::kGoodput, 2, 0, 6);
+  ledger.record(simt::Channel::kGoodput, 0, 2, 1);
+  ledger.record(simt::Channel::kOverhead, 1, 0, 5);
+  ledger.record(simt::Channel::kOverhead, 2, 1, 2);
   ledger.add_rounds(3);
-  ledger.add_overhead_rounds(2);
+  ledger.add_rounds(simt::Channel::kOverhead, 2);
   ledger.add_modeled_collective_words(44);
 
   MetricsRegistry reg;
@@ -236,7 +236,8 @@ TEST(LedgerMetrics, ExportMatchesLedgerExactly) {
             m.overhead_words_received);
   EXPECT_EQ(reg.counter("ledger.goodput.total_words"), ledger.total_words());
   EXPECT_EQ(reg.counter("ledger.goodput.rounds"), ledger.rounds());
-  EXPECT_EQ(reg.counter("ledger.overhead.rounds"), ledger.overhead_rounds());
+  EXPECT_EQ(reg.counter("ledger.overhead.rounds"),
+            ledger.rounds(simt::Channel::kOverhead));
   EXPECT_EQ(reg.counter("ledger.modeled_collective_words"), 44u);
   EXPECT_EQ(reg.counter("ledger.active_pairs"), ledger.active_pairs());
   for (std::size_t p = 0; p < 3; ++p) {
@@ -248,7 +249,7 @@ TEST(LedgerMetrics, ExportMatchesLedgerExactly) {
               ledger.words_received(p))
         << "p=" << p;
     EXPECT_EQ(reg.counter("ledger.overhead.words_sent" + r),
-              ledger.overhead_words_sent(p))
+              ledger.words_sent(simt::Channel::kOverhead, p))
         << "p=" << p;
   }
 
@@ -629,8 +630,8 @@ TEST(Determinism, TracedResilientRunMatchesUntracedAndAttributesOverhead) {
   for (std::size_t i = 0; i < on.y.size(); ++i) {
     EXPECT_EQ(on.y[i], off.y[i]) << "i=" << i;
   }
-  EXPECT_EQ(on_machine.ledger().total_overhead_words(),
-            off_machine.ledger().total_overhead_words());
+  EXPECT_EQ(on_machine.ledger().total_words(simt::Channel::kOverhead),
+            off_machine.ledger().total_words(simt::Channel::kOverhead));
 
   // The protocol's recovery work shows up as overhead-channel spans.
   std::size_t retry_spans = 0;

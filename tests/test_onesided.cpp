@@ -165,8 +165,8 @@ TEST(OneSidedExchange, PutModeDeliversViewsSenderSorted) {
   // holds per channel.
   const simt::CommLedger& led = machine.ledger();
   EXPECT_EQ(led.total_words(), 0u);
-  EXPECT_EQ(led.total_onesided_words(), 3u);
-  EXPECT_EQ(led.onesided_messages(), 2u);
+  EXPECT_EQ(led.total_words(simt::Channel::kOneSided), 3u);
+  EXPECT_EQ(led.total_messages(simt::Channel::kOneSided), 2u);
   // α-term: two origins fenced, one target notified.
   EXPECT_EQ(led.sync_ops(), 3u);
   EXPECT_EQ(ex.stats().fences, 2u);
@@ -211,7 +211,7 @@ TEST(OneSidedExchange, DeadEndpointsDropUncharged) {
   auto in = ex.exchange(std::move(out), simt::Transport::kPointToPoint);
   EXPECT_TRUE(in[0].empty());
   ASSERT_EQ(in[1].size(), 1u);
-  EXPECT_EQ(machine.ledger().total_onesided_words(), 1u);
+  EXPECT_EQ(machine.ledger().total_words(simt::Channel::kOneSided), 1u);
   EXPECT_EQ(ex.stats().puts, 1u);
   machine.ledger().verify_conservation();
 }
@@ -223,9 +223,10 @@ TEST(OneSidedExchange, RecoveryFlaggedPutsChargeRecoveryChannel) {
   out[0].push_back(Envelope{1, PooledBuffer{1.0, 2.0}, 0, /*recovery=*/true});
   (void)ex.exchange(std::move(out), simt::Transport::kPointToPoint);
   const simt::CommLedger& led = machine.ledger();
-  EXPECT_EQ(led.total_onesided_words(), 0u);
-  EXPECT_EQ(led.total_recovery_words(), 2u);
-  EXPECT_EQ(led.recovery_rounds(), 1u);  // pure-recovery epoch's rounds
+  EXPECT_EQ(led.total_words(simt::Channel::kOneSided), 0u);
+  EXPECT_EQ(led.total_words(simt::Channel::kRecovery), 2u);
+  // The pure-recovery epoch's rounds.
+  EXPECT_EQ(led.rounds(simt::Channel::kRecovery), 1u);
   led.verify_conservation();
 }
 
@@ -237,7 +238,7 @@ TEST(OneSidedExchange, RejectsFramedEnvelopesBeforeAnyPut) {
   EXPECT_THROW(ex.exchange(std::move(out), simt::Transport::kPointToPoint),
                PreconditionError);
   // Strong guarantee: nothing landed, nothing charged, epoch settled.
-  EXPECT_EQ(machine.ledger().total_onesided_words(), 0u);
+  EXPECT_EQ(machine.ledger().total_words(simt::Channel::kOneSided), 0u);
   EXPECT_EQ(machine.ledger().sync_ops(), 0u);
   EXPECT_FALSE(ex.registry().epoch_open());
 }
@@ -371,7 +372,7 @@ TEST(DriverEquivalence, OneSidedSyncOpsBelowDirectMessages) {
                              simt::Transport::kPointToPoint);
 
   // Equal payload words, just accounted on different channels.
-  EXPECT_EQ(os_machine.ledger().total_onesided_words(),
+  EXPECT_EQ(os_machine.ledger().total_words(simt::Channel::kOneSided),
             direct_machine.ledger().total_words());
   EXPECT_LT(os_machine.ledger().sync_ops(),
             direct_machine.ledger().total_messages());
@@ -380,7 +381,7 @@ TEST(DriverEquivalence, OneSidedSyncOpsBelowDirectMessages) {
   EXPECT_LE(os_machine.ledger().sync_ops(),
             2 * 2 * os_machine.num_ranks());
   // Rounds match the same König schedule on the onesided channel.
-  EXPECT_EQ(os_machine.ledger().onesided_rounds(),
+  EXPECT_EQ(os_machine.ledger().rounds(simt::Channel::kOneSided),
             direct_machine.ledger().rounds());
 }
 
@@ -414,8 +415,8 @@ TEST(LedgerChannels, ConservationFiresOnEveryChannel) {
 
 TEST(LedgerChannels, OneSidedMetricsExported) {
   Machine machine(2);
-  machine.ledger().record_onesided(0, 1, 7);
-  machine.ledger().add_onesided_rounds(2);
+  machine.ledger().record(simt::Channel::kOneSided, 0, 1, 7);
+  machine.ledger().add_rounds(simt::Channel::kOneSided, 2);
   machine.ledger().add_sync_ops(3);
   obs::MetricsRegistry reg;
   machine.ledger().to_metrics(reg);
@@ -547,7 +548,8 @@ TEST(EnginePlumbing, OneSidedTransportMatchesDirectBitwise) {
     }
     engine.flush();
     if (kind != TransportKind::kDirect) {
-      EXPECT_GT(machine.ledger().total_onesided_words(), 0u) << "engine";
+      EXPECT_GT(machine.ledger().total_words(simt::Channel::kOneSided), 0u)
+          << "engine";
       EXPECT_EQ(machine.ledger().total_words(), 0u);
     }
     machine.ledger().verify_conservation();
@@ -585,7 +587,7 @@ TEST(ServePlumbing, TenantOneSidedAttributionSumsToLedger) {
   const std::uint64_t attributed = fe.tenant_stats(t0).onesided_words +
                                    fe.tenant_stats(t1).onesided_words;
   EXPECT_GT(attributed, 0u);
-  EXPECT_EQ(attributed, machine.ledger().total_onesided_words());
+  EXPECT_EQ(attributed, machine.ledger().total_words(simt::Channel::kOneSided));
   EXPECT_EQ(machine.ledger().total_words(), 0u);  // no mailbox goodput
   obs::MetricsRegistry reg;
   fe.publish_metrics(reg);

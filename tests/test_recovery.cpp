@@ -185,18 +185,18 @@ TEST(Recovery, RecoveryChannelConservesAndSkewFires) {
   ASSERT_EQ(in[2].size(), 1u);
 
   const simt::CommLedger& led = machine.ledger();
-  EXPECT_EQ(led.total_recovery_words(), 3u);
-  EXPECT_EQ(led.recovery_words_sent(0), 3u);
-  EXPECT_EQ(led.recovery_words_received(2), 3u);
-  EXPECT_EQ(led.recovery_messages(), 1u);
-  EXPECT_GE(led.recovery_rounds(), 1u);
+  EXPECT_EQ(led.total_words(simt::Channel::kRecovery), 3u);
+  EXPECT_EQ(led.words_sent(simt::Channel::kRecovery, 0), 3u);
+  EXPECT_EQ(led.words_received(simt::Channel::kRecovery, 2), 3u);
+  EXPECT_EQ(led.total_messages(simt::Channel::kRecovery), 1u);
+  EXPECT_GE(led.rounds(simt::Channel::kRecovery), 1u);
   // Recovery traffic never leaks into goodput or overhead.
   EXPECT_EQ(led.total_words(), 0u);
-  EXPECT_EQ(led.total_overhead_words(), 0u);
+  EXPECT_EQ(led.total_words(simt::Channel::kOverhead), 0u);
   EXPECT_EQ(led.rounds(), 0u);
   led.verify_conservation();
 
-  machine.ledger().debug_skew_recovery_sent_for_test(1, 5);
+  machine.ledger().debug_skew_sent_for_test(simt::Channel::kRecovery, 1, 5);
   EXPECT_THROW(machine.ledger().verify_conservation(), InternalError);
 }
 
@@ -422,7 +422,7 @@ TEST(Recovery, CrashRecoveryPropertySweep) {
         // Three-way ledger conservation, and the recovery channel holds
         // exactly the planned redistribution diff.
         machine.ledger().verify_conservation();
-        EXPECT_EQ(machine.ledger().total_recovery_words(),
+        EXPECT_EQ(machine.ledger().total_words(simt::Channel::kRecovery),
                   out.redistribution_words);
         std::uint64_t planned = 0;
         std::uint64_t from_scratch = 0;

@@ -115,8 +115,8 @@ TEST(Resilience, SeedSweepBitwiseAndGoodputInvariant) {
     EXPECT_EQ(machine.ledger().rounds(), clean.ledger().rounds())
         << "goodput rounds must match the fault-free schedule";
     // Protocol cost is real and lands on the overhead channel.
-    EXPECT_GT(machine.ledger().total_overhead_words(), 0u);
-    EXPECT_GT(machine.ledger().overhead_rounds(), 0u);
+    EXPECT_GT(machine.ledger().total_words(simt::Channel::kOverhead), 0u);
+    EXPECT_GT(machine.ledger().rounds(simt::Channel::kOverhead), 0u);
     machine.ledger().verify_conservation();
     faults_seen += injector.log().size();
   }
@@ -334,7 +334,8 @@ TEST(Resilience, MeasuredRoundsWithinRetryModel) {
                                          retry.backoff_base_rounds,
                                          retry.backoff_cap_rounds) +
            data_rounds);
-  EXPECT_LE(machine.ledger().rounds() + machine.ledger().overhead_rounds(),
+  EXPECT_LE(machine.ledger().rounds() +
+                machine.ledger().rounds(simt::Channel::kOverhead),
             bound);
 }
 
@@ -354,7 +355,7 @@ TEST(Resilience, FaultFreeProtocolOverheadIsAccounted) {
                                         Transport::kPointToPoint);
   expect_bitwise(got.y, ref.y);
   EXPECT_EQ(machine.ledger().total_words(), clean.ledger().total_words());
-  EXPECT_GT(machine.ledger().total_overhead_words(), 0u);
+  EXPECT_GT(machine.ledger().total_words(simt::Channel::kOverhead), 0u);
   EXPECT_EQ(rex.stats().retransmitted_frames, 0u);
   EXPECT_EQ(rex.stats().duplicate_frames_ignored, 0u);
 }

@@ -464,7 +464,7 @@ TEST(Frontend, LedgerAttributionConservesExactly) {
     rounds += ts.rounds;
   }
   EXPECT_EQ(words, ledger.total_words());
-  EXPECT_EQ(overhead, ledger.total_overhead_words());
+  EXPECT_EQ(overhead, ledger.total_words(simt::Channel::kOverhead));
   EXPECT_EQ(messages, ledger.total_messages());
   EXPECT_EQ(rounds, ledger.rounds());
   EXPECT_GT(words, 0u);
@@ -598,7 +598,7 @@ TEST(Frontend, RequeuesBatchIntactWhenDispatchFaults) {
     messages += fe.tenant_stats(t).messages;
   }
   EXPECT_EQ(words, ledger.total_words());
-  EXPECT_EQ(overhead, ledger.total_overhead_words());
+  EXPECT_EQ(overhead, ledger.total_words(simt::Channel::kOverhead));
   EXPECT_EQ(messages, ledger.total_messages());
   EXPECT_GT(overhead, 0u) << "faulted attempt left no overhead trace";
 

@@ -1,18 +1,13 @@
 // SIMD kernel contract tests (DESIGN.md §13): the AVX2 instantiation,
 // every register-block shape, and the panel kernels must produce output
 // bitwise identical to the portable scalar instantiation — across block
-// classes, padded tails, and aliased diagonal buffers. The opt-in
-// compressed bilinear math is the one documented exception: it
-// reassociates, so it is checked against the seed kernel within rounding
-// bounds plus an exact multiplication-count formula.
+// classes, padded tails, and aliased diagonal buffers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "core/block_kernels.hpp"
@@ -195,78 +190,6 @@ TEST(SimdGolden, DefaultOptionsMatchScalarBitwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Compressed bilinear math (opt-in, reassociating).
-// ---------------------------------------------------------------------------
-
-TEST(CompressedMath, InteriorMatchesSeedWithinRoundingBounds) {
-  for (const std::size_t b : {std::size_t{5}, std::size_t{16},
-                              std::size_t{24}}) {
-    const std::size_t m = 3, n = m * b - (b > 1 ? 1 : 0);
-    Rng rng(17 * b);
-    const auto a = tensor::random_symmetric(n, rng);
-    std::vector<double> x_pad(m * b, 0.0);
-    for (std::size_t i = 0; i < n; ++i) x_pad[i] = rng.next_in(-1.0, 1.0);
-    const partition::BlockCoord c{2, 1, 0};
-
-    const auto [y_seed, m_seed] =
-        run_block(a, c, m, b, x_pad, core::KernelOptions{});
-    for (const simt::KernelIsa isa :
-         {simt::KernelIsa::kScalar, simt::KernelIsa::kAvx2}) {
-      core::KernelOptions opts;
-      opts.isa = isa;
-      opts.math = core::KernelMath::kCompressed;
-      const auto [y_comp, m_comp] = run_block(a, c, m, b, x_pad, opts);
-
-      // DESIGN.md §13.4: |error| ≤ C·b·eps·Σ|terms|; with |x|,|a| ≤ 1 the
-      // term sum per output element is ≤ 3b² and C is a small constant.
-      const double bound = 64.0 * static_cast<double>(b * b) *
-                           static_cast<double>(b) *
-                           std::numeric_limits<double>::epsilon();
-      ASSERT_EQ(y_comp.size(), y_seed.size());
-      for (std::size_t i = 0; i < y_seed.size(); ++i) {
-        EXPECT_NEAR(y_comp[i], y_seed[i], bound)
-            << "compressed isa=" << simt::isa_name(isa) << " element " << i;
-      }
-
-      // Exact multiplication count of the compressed formulation:
-      // bi·bj·bk squared-sum products plus 4 per face pair plus 3 per
-      // axis correction (DESIGN.md §13.4).
-      const std::size_t i_end = std::min(c.i * b + b, n);
-      const std::size_t j_end = std::min(c.j * b + b, n);
-      const std::size_t k_end = std::min(c.k * b + b, n);
-      const std::uint64_t bi = i_end - c.i * b;
-      const std::uint64_t bj = j_end - c.j * b;
-      const std::uint64_t bk = k_end - c.k * b;
-      EXPECT_EQ(m_comp, bi * bj * bk + 4 * (bi * bj + bi * bk + bj * bk) +
-                            3 * (bi + bj + bk));
-      EXPECT_EQ(m_seed, 3 * bi * bj * bk);
-      // 2b³ saved vs ~12b² overhead: compressed wins from b ≈ 7 up.
-      if (bi >= 8 && bj >= 8 && bk >= 8) {
-        EXPECT_LT(m_comp, m_seed);
-      }
-    }
-  }
-}
-
-TEST(CompressedMath, NonInteriorClassesFallBackToStandard) {
-  const std::size_t m = 3, b = 8, n = m * b;
-  Rng rng(23);
-  const auto a = tensor::random_symmetric(n, rng);
-  std::vector<double> x_pad(m * b, 0.0);
-  for (std::size_t i = 0; i < n; ++i) x_pad[i] = rng.next_in(-1.0, 1.0);
-  for (const auto& c : kClassBlocks) {
-    if (c.i > c.j && c.j > c.k) continue;  // interior handled above
-    core::KernelOptions comp;
-    comp.math = core::KernelMath::kCompressed;
-    const auto [y_comp, m_comp] = run_block(a, c, m, b, x_pad, comp);
-    const auto [y_std, m_std] =
-        run_block(a, c, m, b, x_pad, core::KernelOptions{});
-    EXPECT_EQ(m_comp, m_std);
-    expect_bitwise_equal(y_comp, y_std, "compressed fallback");
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Panel kernels: lane-interleaved panels vs the single-vector kernels,
 // both instantiations.
 // ---------------------------------------------------------------------------
@@ -350,7 +273,6 @@ TEST(KernelAutotune, AutotuneInstallsWinnersAndPreservesSemantics) {
   EXPECT_EQ(tuned.rj_interior, cal.rj_interior);
   EXPECT_EQ(tuned.rj_face_ij, cal.rj_face_ij);
   EXPECT_EQ(tuned.isa, before.isa);
-  EXPECT_EQ(tuned.math, before.math);
 
   // Tuned options still replay the scalar reference bitwise.
   const std::size_t m = 3, b = 12, n = m * b - 1;

@@ -100,7 +100,7 @@ TEST(Machine, EmptyExchangeIsFree) {
 
 TEST(Ledger, RanksOutOfRangeRejected) {
   CommLedger L(2);
-  EXPECT_THROW(L.record_message(0, 2, 1), PreconditionError);
+  EXPECT_THROW(L.record(simt::Channel::kGoodput, 0, 2, 1), PreconditionError);
   EXPECT_THROW(static_cast<void>(L.words_sent(5)), PreconditionError);
 }
 
