@@ -27,15 +27,14 @@ const KernelVTable& scalar_vtable() {
 
 const KernelVTable& vtable_for(simt::KernelIsa isa) {
 #ifdef STTSV_HAVE_AVX2_KERNELS
-  if (isa == simt::KernelIsa::kAvx2 && simt::cpu_features().avx2 &&
-      simt::cpu_features().fma) {
+  if (isa == simt::KernelIsa::kAvx2 && simt::cpu_features().avx2) {
     return detail::avx2_kernel_vtable();
   }
 #else
   (void)isa;
 #endif
   // Requesting kAvx2 without compiled-in AVX2 kernels (or on a host
-  // without AVX2+FMA) silently falls back — bitwise identical anyway.
+  // without AVX2) silently falls back — bitwise identical anyway.
   return scalar_vtable();
 }
 

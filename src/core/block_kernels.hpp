@@ -19,7 +19,7 @@
 //
 // Since PR 6 the kernels are SIMD-vectorized (DESIGN.md §13): each class
 // body is a template over a 4-lane vector type, instantiated once with
-// the portable scalar type and once with AVX2/FMA intrinsics, selected at
+// the portable scalar type and once with AVX2 intrinsics, selected at
 // runtime by simt::preferred_isa(). Every instantiation follows one
 // canonical arithmetic order, so y is *bitwise identical* across the
 // scalar fallback, the AVX2 path, and every register-block shape — the

@@ -4,7 +4,7 @@
 // Every kernel here is written once as a template over a 4-lane vector
 // type V (simt::simd::VecScalar or simt::simd::VecAvx2) and instantiated
 // in two translation units: block_kernels.cpp (portable, always built)
-// and block_kernels_avx2.cpp (compiled with -mavx2 -mfma, dispatched at
+// and block_kernels_avx2.cpp (compiled with -mavx2, dispatched at
 // runtime). Both TUs are compiled with -ffp-contract=off.
 //
 // §13.1 Canonical arithmetic order. The bitwise contract — scalar

@@ -23,8 +23,7 @@ const PanelVTable& scalar_vtable() {
 
 const PanelVTable& vtable_for(simt::KernelIsa isa) {
 #ifdef STTSV_HAVE_AVX2_KERNELS
-  if (isa == simt::KernelIsa::kAvx2 && simt::cpu_features().avx2 &&
-      simt::cpu_features().fma) {
+  if (isa == simt::KernelIsa::kAvx2 && simt::cpu_features().avx2) {
     return panel_detail::avx2_panel_vtable();
   }
 #else

@@ -6,7 +6,7 @@
 // Each kernel is a template over the 4-lane vector type V and a Full flag
 // (Full = a whole lane chunk; !Full = a masked partial chunk of m < 4
 // lanes), instantiated in panel_kernels.cpp (VecScalar, always built) and
-// panel_kernels_avx2.cpp (VecAvx2, -mavx2 -mfma). Both TUs are compiled
+// panel_kernels_avx2.cpp (VecAvx2, -mavx2). Both TUs are compiled
 // with -ffp-contract=off.
 //
 // Bitwise contract: lane v of the output equals running the single-vector

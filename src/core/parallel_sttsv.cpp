@@ -179,6 +179,7 @@ CommTable::CommTable(const TetraPartition& part,
   };
   std::ranges::stable_sort(wire, {}, key);
   route_index_.assign(P * P, kNoRoute);
+  routes_from_.assign(P, 0);
   x_route_.reserve(common.size());
   y_route_.reserve(common.size());
   for (const std::size_t l : wire) {
@@ -186,6 +187,7 @@ CommTable::CommTable(const TetraPartition& part,
     if (routes_.empty() || routes_.back().from != hf ||
         routes_.back().to != ht) {
       route_index_[hf * P + ht] = routes_.size();
+      ++routes_from_[hf];
       routes_.push_back(Route{hf, ht, {x_route_.size(), 0},
                               {y_route_.size(), 0}, 0, 0});
     }
@@ -316,12 +318,22 @@ BatchRunResult parallel_sttsv(simt::Exchanger& exchanger,
 
   // Each communication phase is one logical exchange split into pair-block
   // chunks: chunk t+1 packs (or computes) while chunk t is on the wire.
-  // The ledger cannot tell the difference (DESIGN.md §12).
+  // The ledger cannot tell the difference (DESIGN.md §12). With one host
+  // thread there is nothing to overlap, so the phase is one chunk: one
+  // kernel pass and one route walk, with each outbox destination-ordered.
   const std::size_t chunks =
       pipeline == simt::PipelineMode::kDoubleBuffered &&
-              table.live_.size() > 1
+              table.live_.size() > 1 && simt::host_concurrency() > 1
           ? 2
           : 1;
+  // One outbox per rank, presized to the routes leaving it.
+  const auto empty_outboxes = [&] {
+    std::vector<std::vector<Envelope>> outboxes(P);
+    for (std::size_t h = 0; h < P; ++h) {
+      outboxes[h].reserve(table.routes_from_[h]);
+    }
+    return outboxes;
+  };
   const auto chunk_hosts = [&](std::size_t c) -> const auto& {
     return chunks == 1 ? table.live_ : table.live_half_[c];
   };
@@ -368,7 +380,7 @@ BatchRunResult parallel_sttsv(simt::Exchanger& exchanger,
   // layout — receivers unpack with the same segment list. Buffers are
   // leased exactly sized from the sending host's pool shard.
   const auto pack_x = [&](std::size_t c) {
-    std::vector<std::vector<Envelope>> outboxes(P);
+    std::vector<std::vector<Envelope>> outboxes = empty_outboxes();
     for (const Route& route : table.routes_) {
       if ((route.from + route.to) % chunks != c || route.x_words == 0) {
         continue;
@@ -450,7 +462,7 @@ BatchRunResult parallel_sttsv(simt::Exchanger& exchanger,
         if (am_reduce) add_own_partials(r);
       }
     });
-    std::vector<std::vector<Envelope>> y_out(P);
+    std::vector<std::vector<Envelope>> y_out = empty_outboxes();
     for (const Route& route : table.routes_) {
       if (chunk_of_host(route.from) != c || route.y_words == 0) continue;
       simt::PooledBuffer buf =
@@ -462,8 +474,14 @@ BatchRunResult parallel_sttsv(simt::Exchanger& exchanger,
     }
     return y_out;
   };
-  std::vector<std::vector<Delivery>> y_in(P);
+  // The first landed part is taken whole; later parts (pipelined chunks,
+  // a protocol exchanger's finish()) append to it.
+  std::vector<std::vector<Delivery>> y_in;
   const auto collect_y = [&](std::vector<std::vector<Delivery>> in) {
+    if (y_in.empty()) {
+      y_in = std::move(in);
+      return;
+    }
     for (std::size_t h = 0; h < in.size(); ++h) {
       for (Delivery& d : in[h]) y_in[h].push_back(std::move(d));
     }
@@ -501,7 +519,7 @@ BatchRunResult parallel_sttsv(simt::Exchanger& exchanger,
   // handler above already did both halves and y_in stays empty.
   if (!am_reduce) {
     std::vector<const double*> route_y(table.routes_.size(), nullptr);
-    for (std::size_t h = 0; h < P; ++h) {
+    for (std::size_t h = 0; h < y_in.size(); ++h) {
       for (const Delivery& d : y_in[h]) {
         const std::size_t route = table.route_between(d.from, h);
         STTSV_CHECK(d.data.size() == table.routes_[route].y_words * B,

@@ -161,6 +161,7 @@ class CommTable {
   std::vector<Segment> x_route_;
   std::vector<Segment> y_route_;
   std::vector<std::size_t> route_index_;  // from * P + to -> route
+  std::vector<std::size_t> routes_from_;  // rank -> routes leaving it
 
   /// The route carrying host hf's envelope to host ht.
   [[nodiscard]] std::size_t route_between(std::size_t hf,
@@ -172,9 +173,12 @@ class CommTable {
 /// dist built over the same partition, x.size() == dist.logical_n(),
 /// a.dim() == dist.logical_n().
 /// `pipeline` selects the phase schedule: kDoubleBuffered (default)
-/// overlaps each chunk's pack/kernels with the previous chunk's wire
-/// time; kSerialized is the historical pack-all-then-exchange order.
-/// Both produce bitwise-identical y and identical ledger channels
+/// splits each phase into two chunks and overlaps one chunk's pack/kernels
+/// with the other's wire time; kSerialized is the historical
+/// pack-all-then-exchange order. At one host thread
+/// (simt::host_concurrency() == 1) there is nothing to overlap, and both
+/// run each phase as one chunk through one exchange(). Every schedule
+/// produces bitwise-identical y and identical ledger channels
 /// (DESIGN.md §12).
 ParallelRunResult parallel_sttsv(
     simt::Machine& machine, const partition::TetraPartition& part,

@@ -52,10 +52,7 @@ void OneSidedExchange::put_part(
   // Deterministic landing order: origins ascending, each origin's
   // envelopes sorted by destination (stable), like the mailbox path.
   for (std::size_t from = 0; from < P; ++from) {
-    std::stable_sort(outboxes[from].begin(), outboxes[from].end(),
-                     [](const simt::Envelope& a, const simt::Envelope& b) {
-                       return a.to < b.to;
-                     });
+    simt::order_by_destination(outboxes[from]);
     for (simt::Envelope& env : outboxes[from]) {
       // Membership truth mirrors Machine: traffic touching a dead rank
       // is dropped uncharged.

@@ -216,10 +216,11 @@ double* BufferPool::pop_or_allocate(std::size_t shard, std::uint32_t bucket) {
   Shard& s = *shards_[shard];
   {
     std::lock_guard<std::mutex> lock(s.mu);
+    ++s.acquires;
     if (bucket < s.free_lists.size() && !s.free_lists[bucket].empty()) {
       double* slab = s.free_lists[bucket].back();
       s.free_lists[bucket].pop_back();
-      reuses_.fetch_add(1, std::memory_order_relaxed);
+      ++s.reuses;
       return slab;
     }
   }
@@ -243,7 +244,6 @@ PooledBuffer BufferPool::acquire(std::size_t shard,
                                  std::size_t capacity_words) {
   STTSV_REQUIRE(shard < shards_.size(), "buffer pool shard out of range");
   const std::uint32_t bucket = bucket_for(capacity_words);
-  acquires_.fetch_add(1, std::memory_order_relaxed);
   PooledBuffer buf;
   buf.base_ = pop_or_allocate(shard, bucket);
   buf.capacity_ = kMinSlabWords << bucket;
@@ -300,8 +300,11 @@ BufferPool::Stats BufferPool::stats() const {
   Stats out;
   out.slab_allocations = slab_allocations_.load(std::memory_order_relaxed);
   out.slabs_live = slabs_live_.load(std::memory_order_relaxed);
-  out.acquires = acquires_.load(std::memory_order_relaxed);
-  out.reuses = reuses_.load(std::memory_order_relaxed);
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    out.acquires += shard->acquires;
+    out.reuses += shard->reuses;
+  }
   out.words_capacity = words_capacity_.load(std::memory_order_relaxed);
   return out;
 }

@@ -177,9 +177,13 @@ class BufferPool {
  private:
   friend class PooledBuffer;
 
+  /// The acquire tallies live here, under the mutex acquire() already
+  /// takes, so the hot path touches no process-wide counter for them.
   struct Shard {
     std::mutex mu;
     std::vector<std::vector<double*>> free_lists;  ///< indexed by bucket
+    std::uint64_t acquires = 0;
+    std::uint64_t reuses = 0;
   };
 
   static std::uint32_t bucket_for(std::size_t capacity_words);
@@ -189,8 +193,6 @@ class BufferPool {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> slab_allocations_{0};
   std::atomic<std::uint64_t> slabs_live_{0};
-  std::atomic<std::uint64_t> acquires_{0};
-  std::atomic<std::uint64_t> reuses_{0};
   std::atomic<std::uint64_t> words_capacity_{0};
 };
 

@@ -9,11 +9,6 @@ namespace sttsv::simt {
 
 namespace {
 
-std::uint64_t pair_key(std::size_t from, std::size_t to) {
-  return (static_cast<std::uint64_t>(from) << 32) |
-         static_cast<std::uint64_t>(to);
-}
-
 constexpr std::array<Channel, kNumChannels> kAllChannels = {
     Channel::kGoodput, Channel::kOverhead, Channel::kRecovery,
     Channel::kOneSided};
@@ -49,7 +44,7 @@ const char* level_name(Level level) {
 
 CommLedger::CommLedger(std::size_t num_ranks) : num_ranks_(num_ranks) {
   STTSV_REQUIRE(num_ranks >= 1, "ledger needs at least one rank");
-  STTSV_REQUIRE(num_ranks < (1ULL << 32), "too many ranks for pair keys");
+  STTSV_REQUIRE(num_ranks < (1ULL << 32), "too many ranks for the pair table");
   for (auto& levels : chan_) {
     for (auto& c : levels) {
       c.sent.assign(num_ranks, 0);
@@ -106,7 +101,13 @@ void CommLedger::record(Channel channel, std::size_t from, std::size_t to,
   c.received[to] += words;
   ++c.msg_sent[from];
   ++c.msg_received[to];
-  if (channel == Channel::kGoodput) pair_[pair_key(from, to)] += words;
+  if (channel != Channel::kGoodput || words == 0) return;
+  // The P×P table is allocated on the first goodput word, so ledgers that
+  // never see goodput stay small.
+  if (pair_.empty()) pair_.assign(num_ranks_ * num_ranks_, 0);
+  std::uint64_t& pair = pair_[from * num_ranks_ + to];
+  if (pair == 0) ++active_pairs_;
+  pair += words;
 }
 
 void CommLedger::add_rounds(Channel channel, Level level, std::size_t k) {
@@ -237,8 +238,8 @@ LedgerMaxima CommLedger::maxima() const {
 }
 
 std::uint64_t CommLedger::pair_words(std::size_t from, std::size_t to) const {
-  const auto it = pair_.find(pair_key(from, to));
-  return it == pair_.end() ? 0 : it->second;
+  STTSV_REQUIRE(from < num_ranks_ && to < num_ranks_, "rank out of range");
+  return pair_.empty() ? 0 : pair_[from * num_ranks_ + to];
 }
 
 void CommLedger::to_metrics(obs::MetricsRegistry& out,
@@ -273,7 +274,7 @@ void CommLedger::to_metrics(obs::MetricsRegistry& out,
   }
   out.set_counter(prefix + ".num_nodes", num_nodes_);
   out.set_counter(prefix + ".modeled_collective_words", modeled_words_);
-  out.set_counter(prefix + ".active_pairs", pair_.size());
+  out.set_counter(prefix + ".active_pairs", active_pairs_);
 }
 
 void CommLedger::verify_conservation() const {

@@ -53,7 +53,6 @@
 #include <cstdint>
 #include <array>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace sttsv::obs {
@@ -247,7 +246,7 @@ class CommLedger {
                                          std::size_t to) const;
 
   /// Distinct ordered pairs that exchanged at least one goodput word.
-  [[nodiscard]] std::size_t active_pairs() const { return pair_.size(); }
+  [[nodiscard]] std::size_t active_pairs() const { return active_pairs_; }
 
   /// Publishes the full ledger state into `out` under `prefix` (DESIGN.md
   /// §11): per channel the maxima, totals, message counts and rounds plus
@@ -312,7 +311,10 @@ class CommLedger {
 
   std::size_t num_ranks_;
   std::array<std::array<ChannelCounters, kNumLevels>, kNumChannels> chan_;
-  std::unordered_map<std::uint64_t, std::uint64_t> pair_;
+  /// Goodput words per ordered pair at from·P + to; empty until the
+  /// first goodput word, then P² entries.
+  std::vector<std::uint64_t> pair_;
+  std::size_t active_pairs_ = 0;  ///< nonzero entries of pair_
   std::array<std::uint64_t, kNumLevels> sync_ops_ = {0, 0};
   std::uint64_t modeled_words_ = 0;
   std::vector<std::uint32_t> node_of_;  ///< empty: flat machine

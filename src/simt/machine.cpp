@@ -8,6 +8,15 @@
 
 namespace sttsv::simt {
 
+void order_by_destination(std::vector<Envelope>& outbox) {
+  const auto by_destination = [](const Envelope& a, const Envelope& b) {
+    return a.to < b.to;
+  };
+  if (!std::is_sorted(outbox.begin(), outbox.end(), by_destination)) {
+    std::stable_sort(outbox.begin(), outbox.end(), by_destination);
+  }
+}
+
 Machine::Machine(std::size_t num_ranks)
     : P_(num_ranks),
       ledger_(num_ranks),
@@ -88,8 +97,16 @@ std::vector<std::vector<Delivery>> Machine::ExchangeSession::part(
     }
   }
 
+  // Deterministic delivery order: by destination, then insertion order.
+  std::vector<std::size_t> inbound(P, 0);
+  for (auto& outbox : outboxes) {
+    order_by_destination(outbox);
+    for (const Envelope& env : outbox) ++inbound[env.to];
+  }
+
   CommLedger& ledger = machine_.ledger_;
   std::vector<std::vector<Delivery>> inboxes(P);
+  for (std::size_t p = 0; p < P; ++p) inboxes[p].reserve(inbound[p]);
 
   // Round slots accumulate per level: the frame occupies a step of its
   // own network (node-local crossbar or inter-node fabric).
@@ -100,11 +117,6 @@ std::vector<std::vector<Delivery>> Machine::ExchangeSession::part(
   };
 
   for (std::size_t from = 0; from < P; ++from) {
-    // Deterministic delivery order: by destination, then insertion order.
-    std::stable_sort(outboxes[from].begin(), outboxes[from].end(),
-                     [](const Envelope& a, const Envelope& b) {
-                       return a.to < b.to;
-                     });
     for (auto& env : outboxes[from]) {
       // Dead endpoints: the frame silently vanishes, charging nothing and
       // holding no round slot. Skipping both the send and the receive
@@ -163,12 +175,9 @@ std::vector<std::vector<Delivery>> Machine::ExchangeSession::part(
       inboxes[env.to].push_back(Delivery{from, std::move(env.data)});
     }
   }
-  for (auto& inbox : inboxes) {
-    std::stable_sort(inbox.begin(), inbox.end(),
-                     [](const Delivery& a, const Delivery& b) {
-                       return a.from < b.from;
-                     });
-  }
+  // Senders were walked ascending, so every inbox is already ordered by
+  // sender, then by the sender's insertion order; only the injector's
+  // reorder fault may permute it.
   if (injector != nullptr) {
     for (std::size_t p = 0; p < P; ++p) {
       injector->maybe_reorder(p, inboxes[p]);

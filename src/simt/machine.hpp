@@ -59,6 +59,12 @@ struct Envelope {
   bool recovery = false;
 };
 
+/// Orders an outbox by destination, keeping each destination's envelopes
+/// in insertion order: the deterministic send order of every exchanger.
+/// An outbox that is already ordered (as the drivers emit them) is left
+/// alone, without the sort's temporary buffer.
+void order_by_destination(std::vector<Envelope>& outbox);
+
 /// One delivered message: source rank plus payload words. Deliveries are
 /// handed to the receiver sorted by sender, so execution is deterministic
 /// (a fault injector may reorder them afterwards).

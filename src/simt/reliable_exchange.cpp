@@ -294,10 +294,7 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
       STTSV_REQUIRE(env.overhead_words == 0,
                     "reliable exchange frames raw payloads only");
     }
-    std::stable_sort(outboxes[from].begin(), outboxes[from].end(),
-                     [](const Envelope& a, const Envelope& b) {
-                       return a.to < b.to;
-                     });
+    order_by_destination(outboxes[from]);
     for (Envelope& env : outboxes[from]) {
       PendingFrame f;
       f.from = from;

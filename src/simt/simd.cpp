@@ -84,10 +84,9 @@ bool simd_enabled() {
 }
 
 KernelIsa preferred_isa() {
-  // FMA is required alongside AVX2: the AVX2 kernel TUs are compiled with
-  // -mfma, so they may only run on a host that has it.
-  if (simd_compiled() && simd_enabled() && cpu_features().avx2 &&
-      cpu_features().fma) {
+  // The AVX2 kernel TUs are compiled with -mavx2 alone (they issue no FMA,
+  // DESIGN.md §13.1), so AVX2 is the only CPU feature they need.
+  if (simd_compiled() && simd_enabled() && cpu_features().avx2) {
     return KernelIsa::kAvx2;
   }
   return KernelIsa::kScalar;

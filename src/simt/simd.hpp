@@ -4,7 +4,7 @@
 // Two pieces live here:
 //
 //  1. Runtime CPU-feature detection and kernel-ISA selection. The build
-//     may compile AVX2/FMA kernel translation units (STTSV_ENABLE_SIMD,
+//     may compile AVX2 kernel translation units (STTSV_ENABLE_SIMD,
 //     defines STTSV_HAVE_AVX2_KERNELS); whether they are *used* is decided
 //     at runtime from a cached CPUID probe plus an explicit kill switch
 //     (set_simd_enabled / environment variable STTSV_SIMD=off). Scalar
@@ -15,7 +15,7 @@
 //     once as templates over a vector type V and instantiated twice:
 //     VecScalar (plain double[4], compiles everywhere) in the portable
 //     translation unit, and VecAvx2 (__m256d) in a TU compiled with
-//     -mavx2 -mfma. Both types implement each operation with the same
+//     -mavx2. Both types implement each operation with the same
 //     IEEE arithmetic per lane and the same combination order, so the two
 //     instantiations produce bitwise-identical results — the repo's
 //     bitwise-`y` invariant holds whichever path the dispatcher picks.
@@ -57,7 +57,7 @@ enum class KernelIsa : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 
 const char* isa_name(KernelIsa isa);
 
-/// True when the AVX2/FMA kernel translation units were compiled into
+/// True when the AVX2 kernel translation units were compiled into
 /// this binary (STTSV_ENABLE_SIMD build option).
 bool simd_compiled();
 
@@ -68,7 +68,7 @@ void set_simd_enabled(bool enabled);
 bool simd_enabled();
 
 /// The ISA the kernel dispatchers use by default: kAvx2 iff the AVX2
-/// kernels are compiled in, the CPU reports AVX2 *and* FMA, and the
+/// kernels are compiled in, the CPU reports AVX2, and the
 /// runtime switch is on; kScalar otherwise.
 KernelIsa preferred_isa();
 
@@ -121,7 +121,7 @@ struct VecScalar {
 #ifdef STTSV_SIMD_TU_HAS_AVX2
 
 /// AVX2 instantiation: one ymm register. Compiled only in TUs built with
-/// -mavx2 -mfma; executed only when preferred_isa() == kAvx2.
+/// -mavx2; executed only when preferred_isa() == kAvx2.
 struct VecAvx2 {
   __m256d v;
 

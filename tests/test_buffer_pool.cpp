@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -161,6 +162,51 @@ TEST(BufferPool, ExhaustionGrowsAndThenServesFromCache) {
   }
   EXPECT_EQ(growing.size(), 4 * BufferPool::kMinSlabWords);
   EXPECT_EQ(growing[BufferPool::kMinSlabWords], BufferPool::kMinSlabWords);
+}
+
+TEST(BufferPool, StatsTallyExactlyAcrossShardsAndThreads) {
+  // 16 tasks on 4 threads share 4 shards; each task holds at most one
+  // slab per bucket at a time, so 4 reserved slabs per (shard, bucket)
+  // serve every acquire from the free lists.
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kTasks = 16;
+  constexpr std::size_t kCycles = 25;
+  simt::ConcurrencyGuard threads(4);
+  BufferPool pool(kShards);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    pool.reserve(s, 40, 4);
+    pool.reserve(s, 200, 4);
+  }
+  const BufferPool::Stats reserved = pool.stats();
+  EXPECT_EQ(reserved.acquires, 0u);
+  EXPECT_EQ(reserved.reuses, 0u);
+  simt::parallel_for(kTasks, [&](std::size_t task) {
+    const std::size_t shard = task % kShards;
+    for (std::size_t c = 0; c < kCycles; ++c) {
+      PooledBuffer small = pool.acquire(shard, 40);
+      PooledBuffer large = pool.acquire(shard, 200);
+      small.push_back(static_cast<double>(c));
+      large.push_back(static_cast<double>(task));
+    }
+  });
+  const BufferPool::Stats after = pool.stats();
+  EXPECT_EQ(after.acquires, kTasks * kCycles * 2);
+  EXPECT_EQ(after.reuses, after.acquires);
+  EXPECT_EQ(after.slab_allocations, reserved.slab_allocations);
+
+  // Unreserved buckets: every acquire either reuses a slab or allocates
+  // one, whatever the interleaving.
+  simt::parallel_for(kTasks, [&](std::size_t task) {
+    for (std::size_t c = 0; c < kCycles; ++c) {
+      PooledBuffer buf = pool.acquire(task % kShards, 1000);
+      buf.push_back(1.0);
+    }
+  });
+  const BufferPool::Stats last = pool.stats();
+  EXPECT_EQ(last.acquires, 2 * kTasks * kCycles + kTasks * kCycles);
+  EXPECT_EQ(last.acquires - last.reuses,
+            last.slab_allocations - reserved.slab_allocations);
+  EXPECT_GE(last.slab_allocations - reserved.slab_allocations, kShards);
 }
 
 TEST(BufferPool, TrimFreesIdleSlabsOnly) {
@@ -361,6 +407,15 @@ class WireThreadRecorder final : public simt::Exchanger {
       std::vector<std::vector<Envelope>> outboxes,
       simt::Transport transport) override {
     record(exchange_threads_);
+    for (const std::vector<Envelope>& outbox : outboxes) {
+      if (!std::is_sorted(outbox.begin(), outbox.end(),
+                          [](const Envelope& a, const Envelope& b) {
+                            return a.to < b.to;
+                          })) {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++unsorted_outboxes_;
+      }
+    }
     return inner_.exchange(std::move(outboxes), transport);
   }
   [[nodiscard]] std::unique_ptr<Parts> begin_parts(
@@ -376,6 +431,11 @@ class WireThreadRecorder final : public simt::Exchanger {
   [[nodiscard]] std::vector<std::thread::id> part_threads() {
     std::lock_guard<std::mutex> lock(mu_);
     return part_threads_;
+  }
+  /// Outboxes handed to exchange() not ordered by destination.
+  [[nodiscard]] std::size_t unsorted_outboxes() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return unsorted_outboxes_;
   }
 
  private:
@@ -406,6 +466,7 @@ class WireThreadRecorder final : public simt::Exchanger {
   std::mutex mu_;
   std::vector<std::thread::id> exchange_threads_;  // guarded by mu_
   std::vector<std::thread::id> part_threads_;      // guarded by mu_
+  std::size_t unsorted_outboxes_ = 0;              // guarded by mu_
 };
 
 std::vector<std::pair<std::string, std::uint64_t>> ledger_counters(
@@ -423,6 +484,7 @@ TEST(Pipeline, OneHostThreadRunsTheSerializedSchedule) {
     std::vector<std::pair<std::string, std::uint64_t>> ledger;
     std::vector<std::thread::id> exchange_threads;
     std::vector<std::thread::id> part_threads;
+    std::size_t unsorted_outboxes = 0;
   };
   const auto run = [&](std::size_t host_threads) {
     simt::ConcurrencyGuard guard(host_threads);
@@ -433,7 +495,8 @@ TEST(Pipeline, OneHostThreadRunsTheSerializedSchedule) {
                                         simt::Transport::kPointToPoint,
                                         PipelineMode::kDoubleBuffered);
     return Observed{r.y, ledger_counters(machine.ledger()),
-                    recorder.exchange_threads(), recorder.part_threads()};
+                    recorder.exchange_threads(), recorder.part_threads(),
+                    recorder.unsorted_outboxes()};
   };
   const Observed one = run(1);
   const Observed four = run(4);
@@ -445,6 +508,8 @@ TEST(Pipeline, OneHostThreadRunsTheSerializedSchedule) {
     EXPECT_EQ(id, std::this_thread::get_id());
   }
   EXPECT_TRUE(one.part_threads.empty());
+  // The driver packs each phase as one chunk, so no outbox needs a sort.
+  EXPECT_EQ(one.unsorted_outboxes, 0u);
   // Several: the double-buffered parts run on the SerialExecutor's thread.
   const std::thread::id wire =
       simt::SerialExecutor::instance()

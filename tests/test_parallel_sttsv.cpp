@@ -179,6 +179,23 @@ TEST(ParallelSttsv, MessagesCarryAtMostTwoRowBlockShares) {
   }
 }
 
+TEST(ParallelSttsv, EveryRankPairOfTheSphericalQ2RunIsActive) {
+  // P = 10 (q = 2): any two Steiner blocks meet, so all 90 ordered pairs
+  // carry goodput, and keep carrying it on every later call.
+  Fixture s = make_setup(steiner::spherical_system(2), 60, 9);
+  simt::Machine machine(10);
+  for (int call = 0; call < 2; ++call) {
+    (void)parallel_sttsv(machine, s.part(), s.dist(), s.a, s.x,
+                         simt::Transport::kPointToPoint);
+    EXPECT_EQ(machine.ledger().active_pairs(), 90u);
+    obs::MetricsRegistry reg;
+    machine.ledger().to_metrics(reg);
+    EXPECT_EQ(reg.counter("ledger.active_pairs"), 90u);
+  }
+  machine.reset_ledger();
+  EXPECT_EQ(machine.ledger().active_pairs(), 0u);
+}
+
 TEST(ParallelSttsv, LowRankTensorSanity) {
   // Structured (low-rank) input as an independent correctness probe.
   Rng rng(8);
