@@ -399,7 +399,8 @@ void write_json(const char* path, bool tuned, bool quick) {
   w.field("rj_face_ij", static_cast<std::uint64_t>(opts.rj_face_ij));
   w.begin_array("block_classes");
   const std::vector<std::size_t> class_sizes =
-      quick ? std::vector<std::size_t>{96} : std::vector<std::size_t>{96, 192, 256, 384};
+      quick ? std::vector<std::size_t>{80, 96}
+            : std::vector<std::size_t>{80, 96, 192, 256, 384};
   for (const std::size_t n : class_sizes) {
     for (const ClassTiming& t : sweep_block_classes(n)) {
       const double mults = static_cast<double>(t.mults);

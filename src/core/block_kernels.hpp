@@ -13,7 +13,9 @@
 //   face i==j  i == j > k   strict rows plus a gi == gj diagonal row
 //                           (2-update) hoisted out of the inner loop;
 //   face j==k  i > j == k   strict runs plus a gk == gj tail element
-//                           (2-update) hoisted out of the inner loop;
+//                           (2-update) hoisted out of the inner loop; the
+//                           rows go four at a time through one fused
+//                           strict sweep (DESIGN.md §13.1);
 //   central    i == j == k  face_jk-style rows plus a diagonal row and the
 //                           central element, all on one aliased buffer.
 //
@@ -22,8 +24,9 @@
 // the portable scalar type and once with AVX2 intrinsics, selected at
 // runtime by simt::preferred_isa(). Every instantiation follows one
 // canonical arithmetic order, so y is *bitwise identical* across the
-// scalar fallback, the AVX2 path, and every register-block shape — the
-// choice in KernelOptions changes speed, never bits.
+// scalar fallback, the AVX2 path, every register-block shape, and the
+// grouped face_jk walk — the choice in KernelOptions changes speed,
+// never bits.
 //
 // All kernels produce the same ternary-multiplication count as the
 // element-wise reference (Section 7.1 counting); floating-point sums may
@@ -52,7 +55,7 @@ struct BlockBuffers {
 struct KernelOptions {
   simt::KernelIsa isa = simt::preferred_isa();
   std::uint8_t rj_interior = 4;
-  std::uint8_t rj_face_ij = 2;
+  std::uint8_t rj_face_ij = 4;
 };
 
 /// Process-wide kernel options used by apply_block (thread-safe).

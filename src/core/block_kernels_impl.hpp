@@ -22,6 +22,9 @@
 //     element — register-blocking j (RJ > 1) keeps the y chunk in a
 //     register but applies the same per-element add sequence;
 //   * no FMA contraction anywhere on this path.
+//
+// The face_jk and central kernels walk their rows four at a time
+// (face_jk_rows4), which keeps both orders above: DESIGN.md §13.1.
 
 #include <cstddef>
 #include <cstdint>
@@ -99,6 +102,62 @@ inline void face_jk_row(const double* STTSV_RESTRICT row, std::size_t lj,
   const double vt = row[lj];
   yi_row += 2.0 * xjv * acc + vt * xjv * xjv;
   yjk[lj] += 2.0 * xiv * acc + 2.0 * vt * xiv * xjv;
+}
+
+/// Four consecutive face_jk/central rows lj … lj+3 (lj ≡ 0 mod 4),
+/// bitwise equal to four face_jk_row calls (DESIGN.md §13.1). Their
+/// strict prefix k < lj is whole 4-chunks for every row, so one
+/// strict_rows<V, 4> sweep gives each row its canonical 4-partial sum and
+/// applies the prefix y updates in ascending row order, with the y chunk
+/// held in a register. Then, row by row, come the r leftover elements
+/// k ∈ [lj, lj + r) (y update, dot product appended sequentially) and the
+/// gk == gj tail element, so y[lj + s] still takes its own tail before
+/// the strict updates of rows s + 1 … 3.
+template <class V>
+inline void face_jk_rows4(const double* const* rows, std::size_t lj,
+                          double xiv, const double* STTSV_RESTRICT xjk,
+                          double* STTSV_RESTRICT yjk, double& yi_row) {
+  double xjv[4];
+  double cy[4];
+  double acc[4];
+  for (std::size_t r = 0; r < 4; ++r) {
+    xjv[r] = xjk[lj + r];
+    cy[r] = 2.0 * xiv * xjv[r];
+  }
+  strict_rows<V, 4>(rows, xjk, yjk, cy, acc, lj);
+  for (std::size_t r = 0; r < 4; ++r) {
+    const double* STTSV_RESTRICT row = rows[r];
+    for (std::size_t lk = lj; lk < lj + r; ++lk) {
+      yjk[lk] += cy[r] * row[lk];
+      acc[r] += row[lk] * xjk[lk];
+    }
+    const double vt = row[lj + r];
+    yi_row += 2.0 * xjv[r] * acc[r] + vt * xjv[r] * xjv[r];
+    yjk[lj + r] += 2.0 * xiv * acc[r] + 2.0 * vt * xiv * xjv[r];
+  }
+}
+
+/// The face_jk/central rows gj ∈ [j0, j_end) of one gi (row base
+/// `gi_row`, already offset to gk = j0): whole groups of four through
+/// face_jk_rows4, the < 4 remaining rows one by one.
+template <class V>
+inline void face_jk_rows(const double* STTSV_RESTRICT gi_row, std::size_t j0,
+                         std::size_t j_end, double xiv,
+                         const double* STTSV_RESTRICT xjk,
+                         double* STTSV_RESTRICT yjk, double& yi_row) {
+  std::size_t gj = j0;
+  for (; gj + 4 <= j_end; gj += 4) {
+    const double* rows[4];
+    for (std::size_t r = 0; r < 4; ++r) {
+      rows[r] = gi_row + (gj + r) * (gj + r + 1) / 2;
+    }
+    face_jk_rows4<V>(rows, gj - j0, xiv, xjk, yjk, yi_row);
+  }
+  for (; gj < j_end; ++gj) {
+    const std::size_t lj = gj - j0;
+    face_jk_row<V>(gi_row + gj * (gj + 1) / 2, lj, xiv, xjk[lj], xjk, yjk,
+                   yi_row);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -245,11 +304,7 @@ std::uint64_t face_jk_kernel(const double* STTSV_RESTRICT data,
     const double xiv = xi[li];
     const std::size_t gi_base = gi * (gi + 1) * (gi + 2) / 6;
     double yi_row = 0.0;
-    for (std::size_t gj = j0; gj < j_end; ++gj) {
-      const std::size_t lj = gj - j0;
-      face_jk_row<V>(data + gi_base + gj * (gj + 1) / 2 + j0, lj, xiv,
-                     xjk[lj], xjk, yjk, yi_row);
-    }
+    face_jk_rows<V>(data + gi_base + j0, j0, j_end, xiv, xjk, yjk, yi_row);
     yi[li] += yi_row;
   }
   const std::uint64_t ni = i_end - i0;
@@ -272,11 +327,7 @@ std::uint64_t central_kernel(const double* STTSV_RESTRICT data,
     const double xiv = x[li];
     const std::size_t gi_base = gi * (gi + 1) * (gi + 2) / 6;
     double yi_row = 0.0;
-    for (std::size_t gj = i0; gj < gi; ++gj) {
-      const std::size_t lj = gj - i0;
-      face_jk_row<V>(data + gi_base + gj * (gj + 1) / 2 + i0, lj, xiv,
-                     x[lj], x, y, yi_row);
-    }
+    face_jk_rows<V>(data + gi_base + i0, i0, gi, xiv, x, y, yi_row);
     // Diagonal row gj == gi: strict run gk < gi (class i == j > k), then
     // the central element a_iii.
     const double* rows[1] = {data + gi_base + gi * (gi + 1) / 2 + i0};

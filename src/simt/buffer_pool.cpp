@@ -1,6 +1,8 @@
 #include "simt/buffer_pool.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <new>
@@ -196,7 +198,22 @@ BufferPool::BufferPool(std::size_t shards) {
   }
 }
 
-BufferPool::~BufferPool() { trim(); }
+BufferPool::~BufferPool() {
+  trim();
+#if defined(STTSV_DEBUG_CHECKS)
+  // trim() freed every idle slab, so any slab still counted is leased to
+  // a live PooledBuffer, which would later release it into this freed
+  // pool. A destructor cannot throw; stop here, naming the count.
+  const std::uint64_t leased = slabs_live_.load(std::memory_order_relaxed);
+  if (leased != 0) {
+    std::fprintf(stderr,
+                 "BufferPool destroyed with %llu slab(s) still leased: every "
+                 "PooledBuffer must be destroyed before its pool\n",
+                 static_cast<unsigned long long>(leased));
+    std::abort();
+  }
+#endif
+}
 
 std::uint32_t BufferPool::bucket_for(std::size_t capacity_words) {
   std::uint32_t bucket = 0;

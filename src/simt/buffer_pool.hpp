@@ -32,6 +32,12 @@ class BufferPool;
 /// Move-only handle onto message storage. Holds `size()` doubles starting
 /// at `data()`; the words before `data()` (see consume_front) and after
 /// `capacity()` belong to the slab but are not part of the message.
+///
+/// Lifetime: a pooled buffer keeps a plain pointer to its BufferPool and
+/// returns its slab there on destruction, so it must be destroyed (or
+/// release()d) before the pool — for message payloads, before the
+/// simt::Machine that owns the pool. Copy out what must outlive it.
+/// Debug builds abort in ~BufferPool if a slab is still leased.
 class PooledBuffer {
  public:
   PooledBuffer() = default;

@@ -67,7 +67,9 @@ void order_by_destination(std::vector<Envelope>& outbox);
 
 /// One delivered message: source rank plus payload words. Deliveries are
 /// handed to the receiver sorted by sender, so execution is deterministic
-/// (a fault injector may reorder them afterwards).
+/// (a fault injector may reorder them afterwards). `data` is leased from
+/// the Machine's pool: a Delivery must be destroyed before its Machine
+/// (see PooledBuffer).
 struct Delivery {
   std::size_t from = 0;
   PooledBuffer data;

@@ -598,5 +598,23 @@ TEST(AllocationGuard, ReportsNewSlabAllocations) {
 #endif
 }
 
+#if defined(STTSV_DEBUG_CHECKS)
+// A PooledBuffer that outlives its pool would release its slab into freed
+// memory later; Debug builds stop in the pool's destructor instead, naming
+// how many slabs are still leased.
+TEST(BufferPoolDeathTest, DestroyingAPoolWithALeasedSlabAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        auto pool = std::make_unique<BufferPool>(2);
+        PooledBuffer idle = pool->acquire(0, 64);
+        idle.release();  // back on the free list: trim() frees it
+        PooledBuffer leased = pool->acquire(1, 64);
+        pool.reset();
+      },
+      "with 1 slab\\(s\\) still leased");
+}
+#endif
+
 }  // namespace
 }  // namespace sttsv

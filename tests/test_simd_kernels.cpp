@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/block_kernels.hpp"
@@ -188,6 +189,55 @@ TEST(SimdGolden, DefaultOptionsMatchScalarBitwise) {
         run_block(a, c, m, b, x_pad, core::kernel_options());
     EXPECT_EQ(m_scalar, m_def);
     expect_bitwise_equal(y_def, y_scalar, "default options vs scalar");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Grouped face_jk/central rows (DESIGN.md §13.1): the kernels walk each
+// gi's rows four at a time, with the rows past the last whole group one by
+// one. Every b up to 24 (every b mod 4, several whole groups), full and
+// padded tilings, aliased slots and both ISAs are held bitwise to the
+// one-lane panel kernel, which replays the canonical order row by row.
+// ---------------------------------------------------------------------------
+
+TEST(GroupedRows, FaceJkAndCentralMatchOneLanePanelBitwise) {
+  const std::size_t m = 3;
+  const partition::BlockCoord blocks[] = {
+      {2, 0, 0},  // face_jk
+      {1, 1, 1},  // central
+      {2, 2, 2},  // central, shortened when n is padded
+  };
+  for (std::size_t b = 1; b <= 24; ++b) {
+    std::vector<std::size_t> dims = {m * b};
+    if (m * b >= 2) dims.push_back(m * b - 1);
+    if (b >= 3) dims.push_back(m * b - (b - 2));  // short last block
+    for (const std::size_t n : dims) {
+      SCOPED_TRACE("b = " + std::to_string(b) + ", n = " + std::to_string(n));
+      Rng rng(13 * n + b);
+      const auto a = tensor::random_symmetric(n, rng);
+      std::vector<double> x_pad(m * b, 0.0);
+      for (std::size_t i = 0; i < n; ++i) x_pad[i] = rng.next_in(-1.0, 1.0);
+      for (const auto& c : blocks) {
+        std::vector<double> y_panel(m * b, 0.0);
+        core::PanelBuffers pbuf;
+        pbuf.x[0] = x_pad.data() + c.i * b;
+        pbuf.x[1] = x_pad.data() + c.j * b;
+        pbuf.x[2] = x_pad.data() + c.k * b;
+        pbuf.y[0] = y_panel.data() + c.i * b;
+        pbuf.y[1] = y_panel.data() + c.j * b;
+        pbuf.y[2] = y_panel.data() + c.k * b;
+        const std::uint64_t panel_mults = core::apply_block_panel_isa(
+            a, c, b, 1, pbuf, simt::KernelIsa::kScalar);
+        for (const simt::KernelIsa isa :
+             {simt::KernelIsa::kScalar, simt::KernelIsa::kAvx2}) {
+          core::KernelOptions opts;
+          opts.isa = isa;  // kAvx2 falls back if unsupported
+          const auto [y, mults] = run_block(a, c, m, b, x_pad, opts);
+          EXPECT_EQ(mults, panel_mults);
+          expect_bitwise_equal(y, y_panel, "grouped rows vs one-lane panel");
+        }
+      }
+    }
   }
 }
 
