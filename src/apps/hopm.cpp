@@ -86,6 +86,15 @@ HopmResult hopm_fully_distributed(simt::Machine& machine,
                 "distribution/tensor dimension mismatch");
   const std::size_t n = a.dim();
   Rng rng(opts.seed);
+  // One table per solve, as in hopm_parallel. Each apply gathers x and
+  // scatters y, both free by the paper's I/O model: every share stays
+  // with its rank, so the run moves exactly Algorithm 5's words.
+  const core::CommTable table(part, dist);
+  simt::DirectExchange direct(machine);
+  const auto apply = [&](const DistributedVector& v) {
+    return DistributedVector::scatter(
+        dist, core::parallel_sttsv(direct, table, a, v.gather(), transport).y);
+  };
 
   // Initial iterate: the same start vector as the other drivers,
   // scattered into shares and normalized with a counted allreduce.
@@ -98,8 +107,7 @@ HopmResult hopm_fully_distributed(simt::Machine& machine,
 
   HopmResult result;
   for (std::size_t it = 1; it <= opts.max_iterations; ++it) {
-    DistributedVector y =
-        core::parallel_sttsv_dist(machine, part, a, x, transport);
+    DistributedVector y = apply(x);
     if (opts.shift != 0.0) y.axpy(opts.shift, x);
     const double norm2_y = DistributedVector::dot(machine, y, y);
     STTSV_CHECK(norm2_y > 0.0, "HOPM iterate collapsed to zero");
@@ -115,8 +123,7 @@ HopmResult hopm_fully_distributed(simt::Machine& machine,
   }
 
   // λ = xᵀ(A ×₂x ×₃x), residual ||Ax² − λx|| — all in shares.
-  DistributedVector ax =
-      core::parallel_sttsv_dist(machine, part, a, x, transport);
+  DistributedVector ax = apply(x);
   result.eigenvalue = DistributedVector::dot(machine, x, ax);
   DistributedVector r = ax;
   r.axpy(-result.eigenvalue, x);

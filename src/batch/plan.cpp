@@ -1,7 +1,10 @@
 #include "batch/plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 
+#include "core/costs.hpp"
+#include "gf/primes.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "steiner/constructions.hpp"
@@ -14,19 +17,23 @@ namespace {
 std::size_t family_processor_count(Family family, std::uint64_t param) {
   switch (family) {
     case Family::kSpherical:
+      // Checked before the product, which wraps for large q.
+      STTSV_REQUIRE(param <= steiner::kMaxSphericalQ &&
+                        gf::is_prime_power(param),
+                    "spherical family needs a prime power q <= 4096");
       return static_cast<std::size_t>(param * (param * param + 1));
     case Family::kBoolean: {
-      // The limits of steiner::boolean_quadruple_system, checked before
-      // the shift (1 << k is undefined for k >= 64).
-      STTSV_REQUIRE(param >= 3 && param <= 12,
-                    "boolean quadruple system needs 3 <= k <= 12");
+      // Checked before the shift (1 << k is undefined for k >= 64).
+      STTSV_REQUIRE(
+          param >= steiner::kMinBooleanK && param <= steiner::kMaxBooleanK,
+          "boolean quadruple system needs 3 <= k <= 12");
       const std::uint64_t m = 1ULL << param;
       return static_cast<std::size_t>(m * (m - 1) * (m - 2) / 24);
     }
     case Family::kTrivial:
-      // The limits of steiner::trivial_triple_system.
-      STTSV_REQUIRE(param >= 4 && param <= 512,
-                    "trivial triple system needs 4 <= m <= 512");
+      STTSV_REQUIRE(
+          param >= steiner::kMinTrivialM && param <= steiner::kMaxTrivialM,
+          "trivial triple system needs 4 <= m <= 512");
       return static_cast<std::size_t>(param * (param - 1) * (param - 2) / 6);
   }
   STTSV_CHECK(false, "unknown Steiner family");
@@ -45,6 +52,15 @@ steiner::SteinerSystem build_system(const PlanKey& key) {
           static_cast<std::size_t>(key.param));
   }
   STTSV_UNREACHABLE("unknown Steiner family");
+}
+
+/// Predicted per-rank words of a plan over m row blocks of length b,
+/// Steiner block size r: each rank holds shares of r row blocks and
+/// receives the rest of each from the other λ₁ - 1 owners, twice (x and y).
+double predicted_words(std::size_t m, std::size_t r, double b) {
+  const double lambda1 =
+      static_cast<double>((m - 1) * (m - 2) / ((r - 1) * (r - 2)));
+  return 2.0 * static_cast<double>(r) * b * (lambda1 - 1.0) / lambda1;
 }
 
 }  // namespace
@@ -147,6 +163,81 @@ std::shared_ptr<const Plan> Plan::build(const PlanKey& key) {
       std::make_unique<partition::VectorDistribution>(*part, key.n);
   return std::shared_ptr<const Plan>(
       new Plan(key, std::move(part), std::move(dist)));
+}
+
+PlanKey plan_key_for_budget(std::size_t budget, std::size_t n) {
+  STTSV_REQUIRE(n >= 1, "problem size must be >= 1");
+  STTSV_REQUIRE(budget >= steiner::kMinTrivialM,
+                "need a budget of at least 4 processors (trivial m=4)");
+  struct Candidate {
+    Family family = Family::kTrivial;
+    std::uint64_t param = 0;
+    std::size_t P = 0;
+    double words = 0.0;
+  };
+  const auto words = [n](std::size_t m, std::size_t r) {
+    return predicted_words(
+        m, r, std::ceil(static_cast<double>(n) / static_cast<double>(m)));
+  };
+  std::vector<Candidate> candidates;
+  for (const auto& f : steiner::admissible_processor_counts(budget)) {
+    const bool spherical = f.family == "spherical";
+    candidates.push_back({spherical ? Family::kSpherical : Family::kBoolean,
+                          spherical ? f.q : f.k, f.P, words(f.m, f.r)});
+  }
+  for (std::size_t m = steiner::kMinTrivialM;
+       m <= steiner::kMaxTrivialM && m * (m - 1) * (m - 2) / 6 <= budget;
+       ++m) {
+    candidates.push_back(
+        {Family::kTrivial, m, m * (m - 1) * (m - 2) / 6, words(m, 3)});
+  }
+  const Candidate best = *std::min_element(
+      candidates.begin(), candidates.end(),
+      [](const Candidate& a, const Candidate& b) {
+        if (a.words != b.words) return a.words < b.words;
+        if ((a.family == Family::kSpherical) !=
+            (b.family == Family::kSpherical)) {
+          return a.family == Family::kSpherical;
+        }
+        return a.P > b.P;
+      });
+  return plan_key(n, best.family, best.param,
+                  simt::Transport::kPointToPoint);
+}
+
+PlanSummary summarize(const Plan& plan) {
+  const PlanKey& key = plan.key();
+  const partition::TetraPartition& part = plan.partition();
+  const partition::VectorDistribution& dist = plan.distribution();
+  PlanSummary s;
+  switch (key.family) {
+    case Family::kSpherical:
+      s.family = "spherical";
+      s.q = static_cast<std::size_t>(key.param);
+      break;
+    case Family::kBoolean:
+      s.family = "boolean";
+      break;
+    case Family::kTrivial:
+      s.family = "triples";
+      break;
+  }
+  s.processors = part.num_processors();
+  s.row_blocks = part.num_row_blocks();
+  s.block_length = dist.block_length_b();
+  s.lower_bound_words = core::lower_bound_words(key.n, s.processors);
+  s.predicted_words =
+      key.family == Family::kSpherical
+          ? core::optimal_algorithm_words(key.n, s.q)
+          : predicted_words(s.row_blocks, part.steiner_block_size(),
+                            static_cast<double>(s.block_length));
+  for (std::size_t p = 0; p < s.processors; ++p) {
+    s.tensor_words_per_rank = std::max(
+        s.tensor_words_per_rank, part.stored_entries(p, s.block_length));
+    s.vector_words_per_rank =
+        std::max(s.vector_words_per_rank, dist.local_elements(p));
+  }
+  return s;
 }
 
 PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {

@@ -119,6 +119,31 @@ class Plan {
   std::vector<std::vector<std::size_t>> local_index_;
 };
 
+/// The key of the plan Algorithm 5 should run with at most `budget` ranks
+/// on problem size n (Point-to-Point transport). Candidates are every
+/// built-in spherical and boolean system with P <= budget and every
+/// trivial S(m,3,3) with C(m,3) <= budget; the winner minimizes the
+/// predicted per-rank words 2·r·⌈n/m⌉·(λ₁-1)/λ₁ (a larger P is not enough:
+/// a high-replication family can cost more than a smaller spherical one),
+/// ties preferring spherical, then larger P. Throws PreconditionError if
+/// n = 0 or budget < 4 (trivial m = 4 is the smallest plan).
+PlanKey plan_key_for_budget(std::size_t budget, std::size_t n);
+
+/// What a plan costs, per rank.
+struct PlanSummary {
+  std::string family;          // "spherical", "boolean", or "triples"
+  std::size_t q = 0;           // spherical parameter (0 otherwise)
+  std::size_t processors = 0;  // exact P of the plan
+  std::size_t row_blocks = 0;  // m
+  std::size_t block_length = 0;  // b (from n)
+  double predicted_words = 0.0;  // per-rank, both vectors (divisible est.)
+  double lower_bound_words = 0.0;
+  std::size_t tensor_words_per_rank = 0;  // storage bound
+  std::size_t vector_words_per_rank = 0;
+};
+
+PlanSummary summarize(const Plan& plan);
+
 /// LRU-memoized Plan::build. Hits return the cached shared_ptr (pointer
 /// identity); misses build, insert, and evict the least recently used
 /// entry beyond `capacity`. Not thread-safe: the simulated machine is

@@ -1,35 +1,28 @@
 #include "core/distributed_vector.hpp"
 
 #include <algorithm>
-#include <utility>
 
-#include "core/parallel_sttsv.hpp"
 #include "simt/collective.hpp"
 #include "support/check.hpp"
 
 namespace sttsv::core {
 
-namespace {
-
 using partition::Share;
-using partition::TetraPartition;
 using partition::VectorDistribution;
 
-}  // namespace
-
 DistributedVector::DistributedVector(const VectorDistribution& dist)
-    : dist_(&dist), shares_(dist.num_processors()) {
-  const auto& part_blocks = [&](std::size_t p) {
-    return dist.required_blocks(p);
-  };
-  for (std::size_t p = 0; p < shares_.size(); ++p) {
-    shares_[p].row_blocks = part_blocks(p);
-    shares_[p].slices.resize(shares_[p].row_blocks.size());
-    for (std::size_t t = 0; t < shares_[p].row_blocks.size(); ++t) {
-      const Share s = dist.share(shares_[p].row_blocks[t], p);
-      shares_[p].slices[t].assign(s.length, 0.0);
+    : dist_(&dist) {
+  const std::size_t P = dist.num_processors();
+  first_.reserve(P + 1);
+  start_.push_back(0);
+  for (std::size_t p = 0; p < P; ++p) {
+    first_.push_back(start_.size() - 1);
+    for (const std::size_t i : dist.required_blocks(p)) {
+      start_.push_back(start_.back() + dist.share(i, p).length);
     }
   }
+  first_.push_back(start_.size() - 1);
+  data_.assign(start_.back(), 0.0);
 }
 
 DistributedVector DistributedVector::scatter(
@@ -40,13 +33,11 @@ DistributedVector DistributedVector::scatter(
   const std::size_t b = dist.block_length_b();
   std::vector<double> padded(dist.padded_n(), 0.0);
   std::copy(global.begin(), global.end(), padded.begin());
-  for (std::size_t p = 0; p < dv.shares_.size(); ++p) {
-    auto& rs = dv.shares_[p];
-    for (std::size_t t = 0; t < rs.row_blocks.size(); ++t) {
-      const std::size_t i = rs.row_blocks[t];
+  double* out = dv.data_.data();
+  for (std::size_t p = 0; p < dist.num_processors(); ++p) {
+    for (const std::size_t i : dist.required_blocks(p)) {
       const Share s = dist.share(i, p);
-      std::copy_n(padded.data() + i * b + s.offset, s.length,
-                  rs.slices[t].data());
+      out = std::copy_n(padded.data() + i * b + s.offset, s.length, out);
     }
   }
   return dv;
@@ -56,50 +47,57 @@ std::vector<double> DistributedVector::gather() const {
   const auto& dist = *dist_;
   const std::size_t b = dist.block_length_b();
   std::vector<double> padded(dist.padded_n(), 0.0);
-  for (std::size_t p = 0; p < shares_.size(); ++p) {
-    const auto& rs = shares_[p];
-    for (std::size_t t = 0; t < rs.row_blocks.size(); ++t) {
-      const std::size_t i = rs.row_blocks[t];
+  const double* in = data_.data();
+  for (std::size_t p = 0; p < dist.num_processors(); ++p) {
+    for (const std::size_t i : dist.required_blocks(p)) {
       const Share s = dist.share(i, p);
-      std::copy(rs.slices[t].begin(), rs.slices[t].end(),
-                padded.begin() + static_cast<long>(i * b + s.offset));
+      std::copy_n(in, s.length, padded.data() + i * b + s.offset);
+      in += s.length;
     }
   }
-  return {padded.begin(),
-          padded.begin() + static_cast<long>(dist.logical_n())};
+  padded.resize(dist.logical_n());
+  return padded;
 }
 
-const std::vector<double>& DistributedVector::share(
-    std::size_t rank, std::size_t row_block) const {
-  STTSV_REQUIRE(rank < shares_.size(), "rank out of range");
-  const auto& rs = shares_[rank];
-  const auto it = std::lower_bound(rs.row_blocks.begin(),
-                                   rs.row_blocks.end(), row_block);
-  STTSV_REQUIRE(it != rs.row_blocks.end() && *it == row_block,
+std::size_t DistributedVector::slot(std::size_t rank,
+                                    std::size_t row_block) const {
+  STTSV_REQUIRE(rank + 1 < first_.size(), "rank out of range");
+  const auto& rp = dist_->required_blocks(rank);
+  const auto it = std::lower_bound(rp.begin(), rp.end(), row_block);
+  STTSV_REQUIRE(it != rp.end() && *it == row_block,
                 "rank does not own this row block");
-  return rs.slices[static_cast<std::size_t>(it - rs.row_blocks.begin())];
+  return first_[rank] + static_cast<std::size_t>(it - rp.begin());
 }
 
-std::vector<double>& DistributedVector::share(std::size_t rank,
-                                              std::size_t row_block) {
-  return const_cast<std::vector<double>&>(
-      static_cast<const DistributedVector&>(*this).share(rank, row_block));
+std::span<const double> DistributedVector::share(
+    std::size_t rank, std::size_t row_block) const {
+  const std::size_t t = slot(rank, row_block);
+  return {data_.data() + start_[t], start_[t + 1] - start_[t]};
+}
+
+std::span<double> DistributedVector::share(std::size_t rank,
+                                           std::size_t row_block) {
+  const std::size_t t = slot(rank, row_block);
+  return {data_.data() + start_[t], start_[t + 1] - start_[t]};
+}
+
+std::span<const double> DistributedVector::local(std::size_t rank) const {
+  const std::size_t begin = start_[first_[rank]];
+  return {data_.data() + begin, start_[first_[rank + 1]] - begin};
 }
 
 double DistributedVector::dot(simt::Machine& machine,
                               const DistributedVector& a,
                               const DistributedVector& b) {
   STTSV_REQUIRE(a.dist_ == b.dist_, "distribution mismatch");
-  const std::size_t P = a.shares_.size();
+  const std::size_t P = a.first_.size() - 1;
   STTSV_REQUIRE(machine.num_ranks() == P, "machine rank count mismatch");
   std::vector<std::vector<double>> partials(P, std::vector<double>(1, 0.0));
   for (std::size_t p = 0; p < P; ++p) {
+    const auto av = a.local(p);
+    const auto bv = b.local(p);
     double local = 0.0;
-    for (std::size_t t = 0; t < a.shares_[p].slices.size(); ++t) {
-      const auto& av = a.shares_[p].slices[t];
-      const auto& bv = b.shares_[p].slices[t];
-      for (std::size_t i = 0; i < av.size(); ++i) local += av[i] * bv[i];
-    }
+    for (std::size_t i = 0; i < av.size(); ++i) local += av[i] * bv[i];
     partials[p][0] = local;
   }
   return simt::allreduce_sum(machine, partials)[0];
@@ -109,18 +107,16 @@ std::pair<double, double> DistributedVector::diff_norms2(
     simt::Machine& machine, const DistributedVector& a,
     const DistributedVector& b) {
   STTSV_REQUIRE(a.dist_ == b.dist_, "distribution mismatch");
-  const std::size_t P = a.shares_.size();
+  const std::size_t P = a.first_.size() - 1;
   std::vector<std::vector<double>> partials(P, std::vector<double>(2, 0.0));
   for (std::size_t p = 0; p < P; ++p) {
+    const auto av = a.local(p);
+    const auto bv = b.local(p);
     double dm = 0.0;
     double dp = 0.0;
-    for (std::size_t t = 0; t < a.shares_[p].slices.size(); ++t) {
-      const auto& av = a.shares_[p].slices[t];
-      const auto& bv = b.shares_[p].slices[t];
-      for (std::size_t i = 0; i < av.size(); ++i) {
-        dm += (av[i] - bv[i]) * (av[i] - bv[i]);
-        dp += (av[i] + bv[i]) * (av[i] + bv[i]);
-      }
+    for (std::size_t i = 0; i < av.size(); ++i) {
+      dm += (av[i] - bv[i]) * (av[i] - bv[i]);
+      dp += (av[i] + bv[i]) * (av[i] + bv[i]);
     }
     partials[p] = {dm, dp};
   }
@@ -129,38 +125,14 @@ std::pair<double, double> DistributedVector::diff_norms2(
 }
 
 void DistributedVector::scale(double s) {
-  for (auto& rs : shares_) {
-    for (auto& slice : rs.slices) {
-      for (auto& v : slice) v *= s;
-    }
-  }
+  for (double& v : data_) v *= s;
 }
 
 void DistributedVector::axpy(double alpha, const DistributedVector& other) {
   STTSV_REQUIRE(dist_ == other.dist_, "distribution mismatch");
-  for (std::size_t p = 0; p < shares_.size(); ++p) {
-    for (std::size_t t = 0; t < shares_[p].slices.size(); ++t) {
-      auto& dst = shares_[p].slices[t];
-      const auto& src = other.shares_[p].slices[t];
-      for (std::size_t i = 0; i < dst.size(); ++i) {
-        dst[i] += alpha * src[i];
-      }
-    }
+  for (std::size_t i = 0; i < data_.size(); ++i) {
+    data_[i] += alpha * other.data_[i];
   }
-}
-
-DistributedVector parallel_sttsv_dist(
-    simt::Machine& machine, const TetraPartition& part,
-    const tensor::SymTensor3& a, const DistributedVector& x,
-    simt::Transport transport, std::vector<std::uint64_t>* ternary_out) {
-  // Gather and scatter are free by the paper's I/O model: every share
-  // stays with its rank, so the one Algorithm-5 driver moves exactly the
-  // words a persistent-share implementation would.
-  const VectorDistribution& dist = x.distribution();
-  ParallelRunResult run =
-      parallel_sttsv(machine, part, dist, a, x.gather(), transport);
-  if (ternary_out != nullptr) *ternary_out = std::move(run.ternary_mults);
-  return DistributedVector::scatter(dist, run.y);
 }
 
 }  // namespace sttsv::core

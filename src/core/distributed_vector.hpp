@@ -1,17 +1,18 @@
 #pragma once
 // Vectors that LIVE in Algorithm 5's distribution: rank p holds the
-// share(i, p) slice of each row block i ∈ R_p. With these, iterative
-// solvers (HOPM, CP gradient descent) run start-to-finish without ever
-// gathering a global vector — each iteration costs one STTSV exchange
-// plus O(log P) words of scalar reductions, which is how a production
-// distributed-memory code would be written.
+// share(i, p) slice of each row block i ∈ R_p. Iterative solvers (HOPM)
+// keep their iterates in shares; the scalar reductions they need cost
+// O(log P) words through the machine. An STTSV on a DistributedVector
+// gathers it, runs core::parallel_sttsv over a prebuilt CommTable and
+// scatters y: gather and scatter are free by the paper's I/O model, since
+// every share stays with its rank.
 
+#include <span>
+#include <utility>
 #include <vector>
 
-#include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "simt/machine.hpp"
-#include "tensor/sym_tensor.hpp"
 
 namespace sttsv::core {
 
@@ -37,9 +38,9 @@ class DistributedVector {
 
   /// Rank p's share of row block i (i must be in R_p); length equals
   /// dist.share(i, p).length.
-  [[nodiscard]] const std::vector<double>& share(std::size_t rank,
-                                                 std::size_t row_block) const;
-  std::vector<double>& share(std::size_t rank, std::size_t row_block);
+  [[nodiscard]] std::span<const double> share(std::size_t rank,
+                                              std::size_t row_block) const;
+  std::span<double> share(std::size_t rank, std::size_t row_block);
 
   // --- distributed BLAS-1 (local arithmetic; reductions go through the
   // machine so their words are counted) --------------------------------
@@ -63,25 +64,19 @@ class DistributedVector {
   void axpy(double alpha, const DistributedVector& other);
 
  private:
-  const partition::VectorDistribution* dist_;
-  // shares_[rank] maps row block -> slice. Flat layout: per rank, the
-  // slices of its R_p blocks concatenated in R_p order.
-  struct RankShares {
-    std::vector<std::size_t> row_blocks;          // R_p
-    std::vector<std::vector<double>> slices;      // parallel to row_blocks
-  };
-  std::vector<RankShares> shares_;
-};
+  /// Index into start_ of rank's share of row_block (which must be in R_p).
+  [[nodiscard]] std::size_t slot(std::size_t rank,
+                                 std::size_t row_block) const;
+  /// Rank p's shares, back to back.
+  [[nodiscard]] std::span<const double> local(std::size_t rank) const;
 
-/// Algorithm 5 with persistent distribution: input and output vectors
-/// stay in shares. Runs core::parallel_sttsv between a gather and a
-/// scatter, which are free by the paper's I/O model, so communication and
-/// y are exactly those of parallel_sttsv. Optionally reports per-rank
-/// ternary multiplication counts.
-DistributedVector parallel_sttsv_dist(
-    simt::Machine& machine, const partition::TetraPartition& part,
-    const tensor::SymTensor3& a, const DistributedVector& x,
-    simt::Transport transport,
-    std::vector<std::uint64_t>* ternary_out = nullptr);
+  const partition::VectorDistribution* dist_;
+  // One buffer for every rank: rank p's shares of its R_p blocks sit back
+  // to back in R_p order, ranks ascending. start_[first_[p] + t] is the
+  // offset of p's t-th share; both arrays end with a sentinel.
+  std::vector<double> data_;
+  std::vector<std::size_t> first_;  // rank -> index into start_
+  std::vector<std::size_t> start_;
+};
 
 }  // namespace sttsv::core

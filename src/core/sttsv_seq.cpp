@@ -2,10 +2,6 @@
 
 #include "support/check.hpp"
 
-#ifdef STTSV_WITH_OPENMP
-#include <omp.h>
-#endif
-
 namespace sttsv::core {
 
 namespace {
@@ -130,51 +126,6 @@ std::vector<double> sttsv_packed(const tensor::SymTensor3& a,
   STTSV_CHECK(idx == a.packed_size(), "packed walk out of sync");
   if (ops != nullptr) ops->ternary_mults += count;
   return y;
-}
-
-std::vector<double> sttsv_packed_parallel(const tensor::SymTensor3& a,
-                                          const std::vector<double>& x,
-                                          OpCount* ops) {
-#ifndef STTSV_WITH_OPENMP
-  return sttsv_packed(a, x, ops);
-#else
-  const std::size_t n = a.dim();
-  STTSV_REQUIRE(x.size() == n, "vector length must match tensor dimension");
-  const double* data = a.data();
-  std::vector<double> y(n, 0.0);
-  std::uint64_t count = 0;
-
-  // Per-thread slabs for the partial outputs; merged below by a second
-  // parallel loop over output indices (a strided merge) instead of the
-  // former serialized full-vector `omp critical` pass.
-  const auto max_threads = static_cast<std::size_t>(omp_get_max_threads());
-  std::vector<double> slabs(max_threads * n, 0.0);
-
-#pragma omp parallel reduction(+ : count)
-  {
-    double* y_local = slabs.data() +
-                      static_cast<std::size_t>(omp_get_thread_num()) * n;
-    // Cyclic rows: row i holds (i+1)(i+2)/2 entries, so work grows
-    // quadratically with i; a (static, 1) cyclic schedule hands every
-    // thread the same mix of light and heavy rows.
-#pragma omp for schedule(static, 1)
-    for (std::size_t i = 0; i < n; ++i) {
-      count += packed_row_update(data + tensor::tetra_index(i, 0, 0),
-                                 x.data(), y_local, i);
-    }
-    // The loop's implicit barrier guarantees every slab is complete; each
-    // thread then reduces a disjoint slice of the output across slabs.
-    const auto active = static_cast<std::size_t>(omp_get_num_threads());
-#pragma omp for schedule(static)
-    for (std::size_t i = 0; i < n; ++i) {
-      double s = 0.0;
-      for (std::size_t t = 0; t < active; ++t) s += slabs[t * n + i];
-      y[i] = s;
-    }
-  }
-  if (ops != nullptr) ops->ternary_mults += count;
-  return y;
-#endif
 }
 
 double full_contraction(const tensor::SymTensor3& a,

@@ -12,6 +12,7 @@
 namespace sttsv::steiner {
 
 SteinerSystem spherical_system(std::uint64_t q) {
+  STTSV_REQUIRE(q <= kMaxSphericalQ, "spherical family limited to q <= 4096");
   return spherical_system(q, 2);
 }
 
@@ -59,8 +60,9 @@ SteinerSystem spherical_system(std::uint64_t q, unsigned alpha) {
 }
 
 SteinerSystem boolean_quadruple_system(unsigned k) {
-  STTSV_REQUIRE(k >= 3, "boolean quadruple system needs k >= 3");
-  STTSV_REQUIRE(k <= 12, "boolean quadruple system limited to 2^12 points");
+  STTSV_REQUIRE(k >= kMinBooleanK, "boolean quadruple system needs k >= 3");
+  STTSV_REQUIRE(k <= kMaxBooleanK,
+                "boolean quadruple system limited to 2^12 points");
   const std::size_t n = std::size_t{1} << k;
 
   // {a, b, c, d} with a<b<c, d = a^b^c and d > c guarantees each block is
@@ -79,8 +81,9 @@ SteinerSystem boolean_quadruple_system(unsigned k) {
 }
 
 SteinerSystem trivial_triple_system(std::size_t m) {
-  STTSV_REQUIRE(m >= 4, "trivial triple system needs m >= 4");
-  STTSV_REQUIRE(m <= 512, "trivial triple system limited to 512 points");
+  STTSV_REQUIRE(m >= kMinTrivialM, "trivial triple system needs m >= 4");
+  STTSV_REQUIRE(m <= kMaxTrivialM,
+                "trivial triple system limited to 512 points");
   std::vector<std::vector<std::size_t>> blocks;
   blocks.reserve(m * (m - 1) * (m - 2) / 6);
   for (std::size_t a = 0; a < m; ++a) {
@@ -103,7 +106,8 @@ std::optional<FamilyMatch> family_for_processor_count(std::size_t P) {
 std::vector<FamilyMatch> admissible_processor_counts(std::size_t max_p) {
   std::vector<FamilyMatch> out;
   // Spherical: P = q(q²+1).
-  for (std::uint64_t q = 2; q * (q * q + 1) <= max_p; ++q) {
+  for (std::uint64_t q = 2; q <= kMaxSphericalQ && q * (q * q + 1) <= max_p;
+       ++q) {
     if (!gf::is_prime_power(q)) continue;
     FamilyMatch m;
     m.family = "spherical";
@@ -114,7 +118,7 @@ std::vector<FamilyMatch> admissible_processor_counts(std::size_t max_p) {
     out.push_back(m);
   }
   // Boolean: P = 2^k (2^k - 1)(2^k - 2) / 24.
-  for (unsigned k = 3; k <= 12; ++k) {
+  for (unsigned k = kMinBooleanK; k <= kMaxBooleanK; ++k) {
     const std::size_t n = std::size_t{1} << k;
     const std::size_t P = n * (n - 1) * (n - 2) / 24;
     if (P > max_p) break;

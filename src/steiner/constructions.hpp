@@ -17,18 +17,28 @@
 
 namespace sttsv::steiner {
 
-/// S(q²+1, q+1, 3) for a prime power q (paper Theorem 6.5).
-/// Deterministic: the block list is sorted lexicographically.
+/// The parameter ranges the built-in families can build; the
+/// constructions, the enumeration below and batch::plan_key all check
+/// against these.
+/// Spherical at alpha = 2: gf::FieldTable caps the field order q² at 2^24.
+inline constexpr std::uint64_t kMaxSphericalQ = 4096;
+inline constexpr unsigned kMinBooleanK = 3;
+inline constexpr unsigned kMaxBooleanK = 12;
+inline constexpr std::size_t kMinTrivialM = 4;
+inline constexpr std::size_t kMaxTrivialM = 512;
+
+/// S(q²+1, q+1, 3) for a prime power q <= kMaxSphericalQ (paper
+/// Theorem 6.5). Deterministic: the block list is sorted lexicographically.
 SteinerSystem spherical_system(std::uint64_t q);
 
 /// Generalization used by tests: S(q^α + 1, q + 1, 3) for α >= 2.
 SteinerSystem spherical_system(std::uint64_t q, unsigned alpha);
 
-/// S(2^k, 4, 3) for k >= 3: blocks are the 4-subsets {a,b,c,d} of
+/// S(2^k, 4, 3) for kMinBooleanK <= k <= kMaxBooleanK: blocks are the 4-subsets {a,b,c,d} of
 /// {0..2^k-1} with a ^ b ^ c ^ d == 0. Deterministic order.
 SteinerSystem boolean_quadruple_system(unsigned k);
 
-/// The trivial S(m, 3, 3) for any m >= 4: every 3-subset is its own
+/// The trivial S(m, 3, 3) for kMinTrivialM <= m <= kMaxTrivialM: every 3-subset is its own
 /// block. Gives the finest partition (P = C(m,3), one off-diagonal block
 /// per processor) — a processor count available for EVERY m, at the cost
 /// of higher vector replication (λ₁ = (m-1)(m-2)/2).

@@ -191,6 +191,16 @@ TEST(Plan, KeyRejectsParametersTheFamilyRejects) {
                  PreconditionError)
         << "m=" << m;
   }
+  // q = 2^22 would wrap q(q²+1); q = 0 would give P = 0; q = 6 is no
+  // prime power; q = 4099 is prime but past the field table's size.
+  for (const std::uint64_t q :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{6},
+        std::uint64_t{4099}, std::uint64_t{1} << 22}) {
+    EXPECT_THROW((void)plan_key(36, Family::kSpherical, q,
+                                simt::Transport::kPointToPoint),
+                 PreconditionError)
+        << "q=" << q;
+  }
   // A hand-built key whose param would narrow to k = 3 in the build.
   PlanKey key = plan_key(48, Family::kBoolean, 3,
                          simt::Transport::kPointToPoint);

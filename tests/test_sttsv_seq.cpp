@@ -150,23 +150,6 @@ TEST(FullContraction, MatchesExplicitTripleSum) {
   EXPECT_NEAR(full_contraction(a, x), expected, 1e-10);
 }
 
-TEST(PackedParallel, MatchesSequentialKernel) {
-  // With OpenMP the per-thread accumulators must reduce to the same
-  // answer; without it this is the passthrough path.
-  for (const std::size_t n : {1u, 7u, 33u}) {
-    Rng rng(900 + n);
-    const auto a = tensor::random_symmetric(n, rng);
-    const auto x = rng.uniform_vector(n);
-    const auto y_ref = sttsv_packed(a, x);
-    OpCount ops;
-    const auto y = sttsv_packed_parallel(a, x, &ops);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(y[i], y_ref[i], 1e-10);
-    }
-    EXPECT_EQ(ops.ternary_mults, symmetric_ternary_mults(n));
-  }
-}
-
 TEST(Preconditions, VectorLengthMustMatch) {
   tensor::SymTensor3 a(4);
   EXPECT_THROW(sttsv_packed(a, std::vector<double>(3)),

@@ -22,8 +22,8 @@
 
 #include "apps/eigensearch.hpp"
 #include "apps/hopm.hpp"
+#include "batch/plan.hpp"
 #include "core/baselines.hpp"
-#include "core/planner.hpp"
 #include "iosim/sequential_io.hpp"
 #include "matrix/pair_system.hpp"
 #include "matrix/parallel_symv.hpp"
@@ -262,8 +262,8 @@ int cmd_auto(const ArgParser& args) {
   const std::size_t n = args.get_u64("n");
   const std::uint64_t seed = args.get_u64_or("seed", 1);
 
-  const core::Planner plan(budget, n);
-  const auto& s = plan.summary();
+  const auto plan = batch::Plan::build(batch::plan_key_for_budget(budget, n));
+  const batch::PlanSummary s = batch::summarize(*plan);
   std::cout << "plan: family = " << s.family
             << (s.q > 0 ? " (q = " + std::to_string(s.q) + ")" : "")
             << ", P = " << s.processors << " of budget " << budget
@@ -279,8 +279,11 @@ int cmd_auto(const ArgParser& args) {
   Rng rng(seed);
   const auto a = tensor::random_symmetric(n, rng);
   const auto x = rng.uniform_vector(n);
-  auto machine = plan.make_machine();
-  const auto y = plan.run(machine, a, x);
+  auto machine = plan->make_machine();
+  simt::DirectExchange direct(machine);
+  const auto y =
+      core::parallel_sttsv(direct, plan->table(), a, x, plan->key().transport)
+          .y;
   const auto y_ref = core::sttsv_packed(a, x);
   double max_diff = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
